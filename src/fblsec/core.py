@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import erfc, ndtri
 
 from .errors import DegenerateChannelError
 
@@ -174,50 +174,17 @@ def q(x):
     return out if np.ndim(x) else float(out)
 
 
-def _q_derivative(x):
-    return -math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-
-
 def q_inv(y: float) -> float:
-    """Inverse of q on (0, 1), by bisection bracketed on [0, 40] followed by
-    Newton polish, with the y > 1/2 branch reduced through q(-x) = 1 - q(x).
+    """Inverse of q on (0, 1): -ndtri(y), through q(x) = Phi(-x).
 
-    Accurate to about 1e-13 in the argument where y carries that much
-    information; for y within ~1e-9 of 1 the double representation of y
-    itself limits the recoverable argument to ~1e-8.
+    For y within ~1e-9 of 1 the double representation of y itself limits the
+    recoverable argument to ~1e-8.
     """
     if not 0.0 < y < 1.0:
         raise ValueError(f"q_inv requires y in (0, 1), got {y}")
     if y == 0.5:
         return 0.0
-    if y > 0.5:
-        return -_q_inv_lower(1.0 - y)
-    return _q_inv_lower(y)
-
-
-def _q_inv_lower(u: float) -> float:
-    """Inverse of q restricted to arguments >= 0 (u <= 1/2)."""
-    lo, hi = 0.0, 40.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if q(mid) > u:
-            lo = mid
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
-    for _ in range(8):
-        fx = q(x) - u
-        dfx = _q_derivative(x)
-        if dfx == 0.0:
-            break
-        step = fx / dfx
-        x_new = x - step
-        if not 0.0 <= x_new <= 40.0:
-            break
-        x = x_new
-        if abs(step) < 1e-15 * max(1.0, abs(x)):
-            break
-    return x
+    return -float(ndtri(y))
 
 
 def omega(gamma, d, m):
@@ -312,18 +279,3 @@ def fbl_error_over_gains(gains, noise_power: float, p: float, d: int, m):
     w = np.sqrt(mv / v) * (np.log2(1.0 + g) - d / mv) * LN2
     out[pos] = np.clip(q(w), 0.0, 1.0)
     return out
-
-
-def scale_gains(scenario: Scenario, which: str, value: float) -> Scenario:
-    """Copy a scenario with one gain field ('bob' or 'eve:<index>') replaced."""
-    if which == "bob":
-        return scenario.with_updates(
-            bob=ChannelSpec(value, scenario.bob.noise_power, scenario.bob.mean_gain)
-        )
-    if which.startswith("eve:"):
-        idx = int(which.split(":", 1)[1])
-        eves = list(scenario.eves)
-        old = eves[idx]
-        eves[idx] = ChannelSpec(value, old.noise_power, old.mean_gain)
-        return scenario.with_updates(eves=tuple(eves))
-    raise ValueError(f"unknown gain selector {which!r}")

@@ -11,6 +11,7 @@ config and seed reproduce byte-identical files.
 from __future__ import annotations
 
 import json
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional, Sequence, Tuple
 
@@ -83,7 +84,6 @@ def solver_from_config(cfg: dict) -> SolverConfig:
     return SolverConfig(
         mu_th=float(sec.get("mu_th", 1e-8)),
         max_iter=int(sec.get("max_iter", 100)),
-        inner_tol=float(sec.get("inner_tol", 1e-9)),
         init=(Resources(float(init["m"]), float(init["p"])) if init else None),
     )
 
@@ -270,8 +270,9 @@ def _thresholds_from(sweep: dict) -> Thresholds:
 
 def cmd_sweep(cfg: dict, threads: int = 1) -> Tuple[List[str], List[list]]:
     """One row per sweep value and source; per-point infeasibilities become
-    error rows and the sweep continues.  A configured trend is asserted over
-    the primary-source rows before any output is produced."""
+    error rows, each reported on stderr in value order, and the sweep
+    continues.  A configured trend is asserted over the primary-source rows
+    before any output is produced."""
     scenario = scenario_from_config(cfg)
     solver_cfg = solver_from_config(cfg)
     try:
@@ -284,19 +285,23 @@ def cmd_sweep(cfg: dict, threads: int = 1) -> Tuple[List[str], List[list]]:
         raise ConfigError("sweep values must be non-empty")
     _validate_sweep_variable(scenario, variable)
 
-    def run_one(value: float) -> List[list]:
+    def run_one(value: float):
         try:
-            return _sweep_point(scenario, sweep, solver_cfg, variable, value)
+            return _sweep_point(scenario, sweep, solver_cfg, variable, value), None
         except (InfeasibleError, ValueError) as exc:
-            return [[value, "error", None, None, None, None]]
+            return [[value, "error", None, None, None, None]], exc
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(run_one, values))
+            results = list(pool.map(run_one, values))
     else:
-        chunks = [run_one(v) for v in values]
-    rows = [row for chunk in chunks for row in chunk]
+        results = [run_one(v) for v in values]
+    rows = [row for chunk, _ in results for row in chunk]
     rows.sort(key=lambda r: (r[0], r[1]))
+    for value, (_, exc) in sorted(zip(values, results), key=lambda vr: vr[0]):
+        if exc is not None:
+            print(f"fblsec sweep: value {format_cell(value)}: "
+                  f"{type(exc).__name__}: {exc}", file=sys.stderr)
 
     trend = sweep.get("trend")
     if trend:

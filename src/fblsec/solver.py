@@ -5,9 +5,10 @@ at the minimizer.
 
 The achieved LFP is non-increasing across rounds because each surrogate
 dominates the true objective and touches it at the anchor; the inner step only
-has to not increase the surrogate.  The inner minimizer seeds a damped Newton
-barrier polish with a coarse log-grid scan, which keeps it reliable even where
-the surrogate's leakage term bends the valley (it is not globally convex).
+has to not increase the surrogate.  The inner minimizer is a coarse feasible
+log-grid scan followed by shrinking log-space zooms around the incumbent; a
+scan needs no convexity, so it stays reliable where the surrogate's leakage
+term bends the valley (it is not globally convex).
 """
 
 from __future__ import annotations
@@ -19,11 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .bounds import TermSpec, build_composite_terms, composite_value
-from .convexity import (
-    omega_gradient_mgamma,
-    omega_hessian_mgamma,
-    rate_threshold_sweep_max,
-)
+from .convexity import rate_threshold_sweep_max
 from .core import (
     LN2,
     ChannelSpec,
@@ -36,7 +33,6 @@ from .core import (
 from .errors import InfeasibleError
 
 _P_FLOOR_FACTOR = 1e-12
-_EXP_CLAMP = 709.0
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +52,6 @@ class SolverConfig:
 
     mu_th: float = 1e-8
     max_iter: int = 100
-    inner_tol: float = 1e-9
     init: Optional[Resources] = None
     m_min: float = 1.0
     seed_grid: int = 48
@@ -146,13 +141,12 @@ def linkset_single(scenario: Scenario) -> LinkSet:
 
 
 # ---------------------------------------------------------------------------
-# differentiable surrogate
+# anchored surrogate
 # ---------------------------------------------------------------------------
 
 class SurrogateModel:
-    """The anchored composite surrogate with analytic gradient and Hessian in
-    (m, p), plus the exponent lower bounds that keep every error-probability
-    factor at or below one."""
+    """The anchored composite surrogate in (m, p), plus the exponent lower
+    bounds that keep every error-probability factor at or below one."""
 
     def __init__(self, links: LinkSet, m_hat: float, p_hat: float):
         self.links = links
@@ -186,82 +180,9 @@ class SurrogateModel:
     def value(self, m, p):
         return composite_value(self.terms, self.links.omegas(m, p))
 
-    def feasible(self, m: float, p: float) -> bool:
-        for link, w_min in self.omega_floors:
-            if self.links.omega_link(link, m, p) < w_min:
-                return False
-        return True
-
-    def value_grad_hess(self, m: float, p: float):
-        links = self.links
-        n = len(links.channels)
-        w = np.empty(n)
-        grads = np.empty((n, 2))
-        hessians = np.empty((n, 2, 2))
-        for i in range(n):
-            gamma = links.k[i] * p
-            w[i] = links.omega_link(i, m, p)
-            d_m, d_g = omega_gradient_mgamma(gamma, links.d, m)
-            grads[i] = (d_m, d_g * links.k[i])
-            h = omega_hessian_mgamma(gamma, links.d, m)
-            ki = links.k[i]
-            hessians[i] = h * np.array([[1.0, ki], [ki, ki * ki]])
-
-        total_f = 0.0
-        total_g = np.zeros(2)
-        total_h = np.zeros((2, 2))
-        for term in self.terms:
-            kf = len(term.factors)
-            s = 0.0
-            u = np.zeros(2)
-            h_s = np.zeros((2, 2))
-            for fs in term.factors:
-                cf = fs.coeffs
-                expo = cf.log_b + (cf.a * w[fs.link] if fs.sign > 0 else -cf.a * w[fs.link])
-                e = math.exp(min(expo, _EXP_CLAMP))
-                val = e + cf.c
-                d1 = (cf.a if fs.sign > 0 else -cf.a) * e
-                d2 = cf.a * cf.a * e
-                s += val / fs.f_hat
-                u += (d1 / fs.f_hat) * grads[fs.link]
-                h_s += (d2 / fs.f_hat) * np.outer(grads[fs.link], grads[fs.link])
-                h_s += (d1 / fs.f_hat) * hessians[fs.link]
-            s /= kf
-            u /= kf
-            h_s /= kf
-            sk1 = s ** (kf - 1)
-            total_f += term.coef * sk1 * s
-            total_g += term.coef * kf * sk1 * u
-            if kf > 1:
-                total_h += term.coef * kf * (
-                    (kf - 1) * s ** (kf - 2) * np.outer(u, u) + sk1 * h_s
-                )
-            else:
-                total_h += term.coef * h_s
-        return total_f, total_g, total_h
-
-    def constraint_slacks(self, m: float, p: float):
-        """Slack of each exponent floor at (m, p), cheapest form."""
-        return [float(self.links.omega_link(link, m, p)) - w_min
-                for link, w_min in self.omega_floors]
-
-    def constraint_slacks_grads(self, m: float, p: float):
-        """(slack, gradient, Hessian) of each exponent floor at (m, p)."""
-        out = []
-        for link, w_min in self.omega_floors:
-            gamma = self.links.k[link] * p
-            w = float(self.links.omega_link(link, m, p))
-            d_m, d_g = omega_gradient_mgamma(gamma, self.links.d, m)
-            grad = np.array([d_m, d_g * self.links.k[link]])
-            h = omega_hessian_mgamma(gamma, self.links.d, m)
-            kl = self.links.k[link]
-            hess = h * np.array([[1.0, kl], [kl, kl * kl]])
-            out.append((w - w_min, grad, hess))
-        return out
-
 
 # ---------------------------------------------------------------------------
-# inner minimization: grid seed + damped Newton on a log barrier
+# inner minimization: feasible grid seed + shrinking log-space zoom
 # ---------------------------------------------------------------------------
 
 def _resource_box(links: LinkSet, m_min: float) -> Tuple[float, float, float, float]:
@@ -280,27 +201,6 @@ def _resource_box(links: LinkSet, m_min: float) -> Tuple[float, float, float, fl
     return m_lo, m_hi, p_lo, links.p_cap
 
 
-def _eig2(h: np.ndarray):
-    a, b, c = h[0, 0], h[0, 1], h[1, 1]
-    tr = a + c
-    disc = math.sqrt(max((a - c) ** 2 + 4.0 * b * b, 0.0))
-    return 0.5 * (tr - disc), 0.5 * (tr + disc)
-
-
-def _solve_convexified(h: np.ndarray, g: np.ndarray) -> np.ndarray:
-    lo, hi = _eig2(h)
-    ridge = 0.0
-    floor = max(abs(hi), 1.0) * 1e-12
-    if lo < floor:
-        ridge = floor - lo
-    hh = h + ridge * np.eye(2)
-    det = hh[0, 0] * hh[1, 1] - hh[0, 1] * hh[1, 0]
-    if det <= 0.0 or not np.isfinite(det):
-        return -g / max(abs(hi), 1.0)
-    inv = np.array([[hh[1, 1], -hh[0, 1]], [-hh[1, 0], hh[0, 0]]]) / det
-    return -inv @ g
-
-
 def _masked_values(model: SurrogateModel, ms: np.ndarray, ps: np.ndarray):
     with np.errstate(over="ignore", invalid="ignore"):
         vals = model.value(ms, ps)
@@ -314,10 +214,10 @@ def minimize_surrogate(model: SurrogateModel, box, cfg: SolverConfig):
     """Minimize the surrogate over the box subject to the exponent floors.
 
     The surrogate's valley is long and nearly flat, so a coarse feasible scan
-    seeds a sequence of shrinking local zooms that slide along the valley;
-    a damped Newton barrier polish then drives the KKT residual down.
-    Returns (m, p, value, kkt_residual); the returned point never has a larger
-    surrogate value than the anchor.
+    seeds a sequence of shrinking log-space zooms that slide along the valley.
+    Returns (m, p, value).  The incumbent starts at the better of the scan and
+    the anchor and only ever improves, so the returned point never has a
+    larger surrogate value than the anchor.
     """
     m_lo, m_hi, p_lo, p_hi = box
 
@@ -327,9 +227,8 @@ def minimize_surrogate(model: SurrogateModel, box, cfg: SolverConfig):
     vals = _masked_values(model, ms, ps)
     i, j = np.unravel_index(int(np.argmin(vals)), vals.shape)
     best = (float(ms[i, 0]), float(ps[0, j]), float(vals[i, j]))
-    anchor = (model.m_hat, model.p_hat, model.anchor_value)
-    if anchor[2] <= best[2]:
-        best = anchor
+    if model.anchor_value <= best[2]:
+        best = (model.m_hat, model.p_hat, float(model.anchor_value))
     if not np.isfinite(best[2]):
         raise InfeasibleError("no feasible point for the surrogate inside the box")
 
@@ -352,107 +251,7 @@ def minimize_surrogate(model: SurrogateModel, box, cfg: SolverConfig):
         if half_width < 1e-8:
             break
 
-    # ---- interior start for the barrier
-    shrink = 1.0 - 1e-9
-    x = np.array([
-        min(max(best[0], m_lo / shrink), m_hi * shrink),
-        min(max(best[1], p_lo / shrink), p_hi * shrink),
-    ])
-
-    def barrier_parts(xv):
-        """Slack, gradient, and (for curved constraints) Hessian of every
-        barrier term; None when the box is violated, so curved constraints and
-        the model are only evaluated at valid allocations."""
-        m, p = xv
-        slacks = [(m - m_lo, np.array([1.0, 0.0]), None),
-                  (m_hi - m, np.array([-1.0, 0.0]), None),
-                  (p - p_lo, np.array([0.0, 1.0]), None),
-                  (p_hi - p, np.array([0.0, -1.0]), None)]
-        if any(s <= 0.0 for s, _, _ in slacks):
-            return None
-        slacks += model.constraint_slacks_grads(m, p)
-        return slacks
-
-    def slack_values(xv):
-        """Just the slack magnitudes; None when the box is violated."""
-        m, p = xv
-        box_slacks = [m - m_lo, m_hi - m, p - p_lo, p_hi - p]
-        if any(s <= 0.0 for s in box_slacks):
-            return None
-        return box_slacks + model.constraint_slacks(m, p)
-
-    def strictly_feasible(xv):
-        slacks = slack_values(xv)
-        return slacks is not None and all(s > 0.0 for s in slacks)
-
-    if not strictly_feasible(x):
-        x = np.array([min(max(model.m_hat, m_lo / shrink), m_hi * shrink),
-                      min(max(model.p_hat, p_lo / shrink), p_hi * shrink)])
-    f_scale = max(abs(best[2]), 1e-12)
-    # the zoom already sits at the minimizer, so the barrier can start tight
-    t = 1e4 / f_scale
-    best_val = model.value(float(x[0]), float(x[1]))
-    best_x = x.copy()
-    kkt = math.inf
-
-    def psi_at(xv, ti):
-        slacks = slack_values(xv)
-        if slacks is None or any(s <= 0.0 for s in slacks):
-            return math.inf
-        fv = model.value(float(xv[0]), float(xv[1]))
-        if not np.isfinite(fv):
-            return math.inf
-        out = ti * fv
-        for s in slacks:
-            out -= math.log(s)
-        return out
-
-    n_con = 4 + len(model.omega_floors)
-    for _stage in range(4):
-        for _step in range(25):
-            m, p = float(x[0]), float(x[1])
-            f, g, h = model.value_grad_hess(m, p)
-            psi_g = t * g
-            psi_h = t * h
-            for s, sg, sh in barrier_parts(x):
-                psi_g -= sg / s
-                psi_h += np.outer(sg, sg) / (s * s)
-                if sh is not None:
-                    psi_h -= sh / s
-            dx = _solve_convexified(psi_h, psi_g)
-            decrement = -float(psi_g @ dx)
-            if not np.isfinite(decrement) or decrement <= 1e-13 * max(t * f_scale, 1.0):
-                break
-            psi0 = psi_at(x, t)
-            alpha = 1.0
-            accepted = False
-            for _bt in range(40):
-                cand = x + alpha * dx
-                if psi_at(cand, t) <= psi0 - 1e-4 * alpha * decrement:
-                    x = cand
-                    accepted = True
-                    break
-                alpha *= 0.5
-            if not accepted:
-                break
-        # KKT residual with barrier multipliers 1 / (t * slack)
-        m, p = float(x[0]), float(x[1])
-        f, g, h = model.value_grad_hess(m, p)
-        resid = g.copy()
-        for s, sg, _ in barrier_parts(x):
-            resid -= sg / (t * s)
-        kkt = float(np.linalg.norm(resid))
-        val = model.value(m, p)
-        if val < best_val:
-            best_val = val
-            best_x = x.copy()
-        if kkt <= cfg.inner_tol and n_con / t <= 1e-12 * f_scale:
-            break
-        t *= 1e4
-
-    if best_val > anchor[2]:
-        return model.m_hat, model.p_hat, anchor[2], kkt
-    return float(best_x[0]), float(best_x[1]), float(best_val), kkt
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +290,7 @@ def run_iteration(links: LinkSet, cfg: SolverConfig) -> AllocationResult:
 
     for k in range(1, cfg.max_iter + 1):
         model = SurrogateModel(links, m_k, p_k)
-        m_next, p_next, f_hat, _kkt = minimize_surrogate(model, box, cfg)
+        m_next, p_next, f_hat = minimize_surrogate(model, box, cfg)
         eps_next = float(links.lfp(m_next, p_next))
         if eps_next > eps_prev:
             # numerically no descent available: stay at the anchor and stop
@@ -550,7 +349,7 @@ def inner_minimize(scenario: Scenario, lp, cfg: SolverConfig | None = None):
     links = linkset_single(scenario)
     model = SurrogateModel(links, lp.m_hat, lp.p_hat)
     box = _resource_box(links, cfg.m_min)
-    m_opt, p_opt, _val, _kkt = minimize_surrogate(model, box, cfg)
+    m_opt, p_opt, _val = minimize_surrogate(model, box, cfg)
     return m_opt, p_opt
 
 

@@ -114,7 +114,7 @@ def test_sweep_trend_violation_exits_3(tmp_path):
     assert not out.exists()
 
 
-def test_sweep_error_rows_continue(tmp_path):
+def test_sweep_error_rows_continue(tmp_path, capsys):
     # symmetric channels make the thresholds infeasible at every power
     cfg = base_config(sweep={
         "variable": "z_b",
@@ -130,6 +130,9 @@ def test_sweep_error_rows_continue(tmp_path):
     sources = {r[0]: r[1] for r in rows}
     assert sources["1"] == "error"
     assert sources["4"] == "blocklength"
+    err_lines = capsys.readouterr().err.strip().split("\n")
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith("fblsec sweep: value 1: InfeasibleError: ")
 
 
 def test_oracle_command(tmp_path):

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from fblsec.bounds import local_point
-from fblsec.core import Resources, lfp_at
+from fblsec.core import EveModel, Resources, lfp_at
 from fblsec.errors import InfeasibleError
+from fblsec.multi_eve import solve_multi
 from fblsec.solver import (
     SolverConfig,
     SurrogateModel,
@@ -73,7 +74,7 @@ def test_inner_minimize_beats_anchor_and_respects_bounds(default_scenario):
     links = linkset_single(sc)
     model = SurrogateModel(links, lp.m_hat, lp.p_hat)
     box = _resource_box(links, 1.0)
-    m_opt, p_opt, val, _kkt = minimize_surrogate(model, box, SolverConfig())
+    m_opt, p_opt, val = minimize_surrogate(model, box, SolverConfig())
     assert box[0] <= m_opt <= box[1]
     assert box[2] <= p_opt <= box[3]
     assert val <= model.anchor_value
@@ -90,7 +91,7 @@ def test_inner_minimize_matches_dense_grid(default_scenario):
     links = linkset_single(sc)
     model = SurrogateModel(links, lp.m_hat, lp.p_hat)
     box = _resource_box(links, 1.0)
-    _, _, val, _ = minimize_surrogate(model, box, SolverConfig())
+    _, _, val = minimize_surrogate(model, box, SolverConfig())
     ms = np.linspace(box[0], box[1], 400)[:, None]
     ps = np.geomspace(max(box[2], box[3] * 1e-8), box[3], 400)[None, :]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -155,6 +156,28 @@ def test_stronger_bob_variant_matches_oracle():
 
     sc = make_scenario(z_b=1.8)
     res = solve_joint(sc)
+    _, _, v_o = exhaustive_min_lfp(sc, GridSpec(p_points=500, refine_rounds=3))
+    assert abs(res.eps_lf - v_o) / v_o <= 1e-3
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(z_b=1.5, d=100),
+    dict(z_b=1.5, d=700),
+    dict(z_b=4.0, d=100),
+    dict(z_b=2.0, d=300),
+    dict(z_b=1.2, d=316),
+    dict(z_b=1.65, d=316),
+    dict(z_b=2.1, d=316),
+    pytest.param(dict(z_b=2.49, d=320, eve_gains=(0.79, 0.91),
+                      eve_model=EveModel.SUPER), id="colluding-pair"),
+], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+def test_solver_matches_oracle_across_regimes(kwargs):
+    """Single-eavesdropper corners and interior points, plus a colluding pair,
+    land within 1e-3 relative of the exhaustive benchmark."""
+    from fblsec.oracle import GridSpec, exhaustive_min_lfp
+
+    sc = make_scenario(**kwargs)
+    res = solve_multi(sc)
     _, _, v_o = exhaustive_min_lfp(sc, GridSpec(p_points=500, refine_rounds=3))
     assert abs(res.eps_lf - v_o) / v_o <= 1e-3
 
