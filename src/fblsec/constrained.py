@@ -26,9 +26,7 @@ from .core import (
     snr,
 )
 from .errors import InfeasibleError
-from .oracle import golden_section_max
-
-_M_CHUNK = 512
+from .oracle import golden_section_max, grid_argmin
 
 
 # ---------------------------------------------------------------------------
@@ -212,30 +210,34 @@ def solve_fixed_leakage(scenario: Scenario, delta_cap: float,
 
     Equivalent to pure reliability maximization once the leakage budget is
     pinned; the achieved LFP is reported for comparison against the joint
-    optimum."""
+    optimum.  Each round scans the box with oracle.grid_argmin: Bob's error
+    falls and the leakage rises in m and p, so a tile's error is at least its
+    value at (m_hi, p_hi), and the whole tile breaks the cap when its leakage
+    at (m_lo, p_lo) does.  The result equals a scan of every cell."""
     if not 0.0 < delta_cap <= 0.5:
         raise ValueError(f"delta_cap must lie in (0, 0.5], got {delta_cap}")
     eve = scenario.single_eve
     p_min = p_min if p_min is not None else scenario.p_cap * 1e-6
+    if not 0.0 < p_min <= scenario.p_cap:
+        raise ValueError(f"p_min must lie in (0, p_cap], got {p_min}")
     p_lo, p_hi = p_min, scenario.p_cap
-    best: Optional[Tuple[float, int, float]] = None
+    ms = np.arange(1, scenario.m_cap + 1, dtype=float)
 
+    def capped_eps_b(m, p):
+        eps_e = fbl_error(snr(eve, p), scenario.d, m)
+        eps_b = fbl_error(snr(scenario.bob, p), scenario.d, m)
+        return np.where((1.0 - eps_e) <= delta_cap, eps_b, np.inf)
+
+    def bound(m_lo, m_hi, p_lo, p_hi):
+        # the cap's slack is grid_argmin's allowance for ulp-level effects
+        leak = 1.0 - fbl_error(snr(eve, p_lo), scenario.d, m_lo)
+        eps_b = fbl_error(snr(scenario.bob, p_hi), scenario.d, m_hi)
+        return np.where(leak > delta_cap * (1.0 + 1e-9) + 1e-15, np.inf, eps_b)
+
+    best: Optional[Tuple[float, int, float]] = None
     for _round in range(refine_rounds + 1):
         ps = np.geomspace(p_lo, p_hi, p_points)
-        for start in range(1, scenario.m_cap + 1, _M_CHUNK):
-            stop = min(start + _M_CHUNK - 1, scenario.m_cap)
-            ms = np.arange(start, stop + 1, dtype=float)[:, None]
-            eps_e = fbl_error(snr(eve, ps[None, :]), scenario.d, ms)
-            eps_b = fbl_error(snr(scenario.bob, ps[None, :]), scenario.d, ms)
-            feasible = (1.0 - eps_e) <= delta_cap
-            masked = np.where(feasible, eps_b, np.inf)
-            i, j = np.unravel_index(int(np.argmin(masked)), masked.shape)
-            if np.isfinite(masked[i, j]):
-                cand = (float(masked[i, j]), int(ms[i, 0]), float(ps[j]))
-                if best is None or cand[0] < best[0] or (
-                    cand[0] == best[0] and (cand[1], cand[2]) < (best[1], best[2])
-                ):
-                    best = cand
+        best = grid_argmin(ms, ps, capped_eps_b, bound, best)
         if best is None:
             raise InfeasibleError("the leakage cap is violated everywhere in the box")
         width = (p_hi / p_lo) ** (1.0 / 10.0)

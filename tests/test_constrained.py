@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -16,11 +18,38 @@ from fblsec.constrained import (
     solve_blocklength_statistical,
     solve_fixed_leakage,
 )
-from fblsec.core import Resources, capacity, lfp_at, snr
+from fblsec.core import Resources, capacity, fbl_error, lfp_at, snr
 from fblsec.errors import InfeasibleError
 from fblsec.solver import solve_joint
 
 from conftest import feasible_threshold_cases, make_scenario
+
+
+def _dense_fixed_leakage(scenario, cap, p_points, refine_rounds, p_min=None):
+    """Reference for solve_fixed_leakage: every cell of every round's grid in
+    one array, with the same zoom and lexicographic tie-break."""
+    eve = scenario.single_eve
+    p_min = p_min if p_min is not None else scenario.p_cap * 1e-6
+    p_lo, p_hi = p_min, scenario.p_cap
+    ms = np.arange(1, scenario.m_cap + 1, dtype=float)[:, None]
+    best = None
+    for _ in range(refine_rounds + 1):
+        ps = np.geomspace(p_lo, p_hi, p_points)[None, :]
+        eps_e = fbl_error(snr(eve, ps), scenario.d, ms)
+        eps_b = fbl_error(snr(scenario.bob, ps), scenario.d, ms)
+        masked = np.where(1.0 - eps_e <= cap, eps_b, np.inf)
+        i, j = np.unravel_index(int(np.argmin(masked)), masked.shape)
+        if np.isfinite(masked[i, j]):
+            cand = (float(masked[i, j]), int(ms[i, 0]), float(ps[0, j]))
+            if best is None or cand < best:
+                best = cand
+        if best is None:
+            raise InfeasibleError("the leakage cap is violated everywhere in the box")
+        width = (p_hi / p_lo) ** 0.1
+        p_lo = max(p_min, best[2] / width)
+        p_hi = min(scenario.p_cap, best[2] * width)
+    v, _ = lfp_at(scenario, Resources(float(best[1]), best[2]))
+    return best[1], best[2], v
 
 
 def _scan_values(scenario, p, interval):
@@ -179,6 +208,57 @@ def test_fixed_leakage_slack_cap_improves_reliability(default_scenario):
         out[cap] = fbl_error(snr(default_scenario.bob, p),
                              default_scenario.d, float(m))
     assert out[0.5] <= out[1e-3] + 1e-12
+
+
+FIXED_LEAKAGE_CASES = [
+    (dict(), 1e-3, 200, 2, None),
+    (dict(z_b=2.3, d=316), 1e-3, 300, 2, None),
+    (dict(z_b=4.0, d=700, m_cap=1200), 1e-9, 80, 3, None),
+    (dict(z_b=1.2, d=100), 0.5, 50, 0, 1e-2),
+    (dict(z_b=6.0, d=40, m_cap=600), 1e-12, 1, 1, None),
+    (dict(z_b=3.0, z_e=2.0, d=200, m_cap=900), 0.2, 120, 3, 5.0),
+]
+
+
+@pytest.mark.parametrize("kwargs,cap,p_points,rounds,p_min", FIXED_LEAKAGE_CASES)
+def test_fixed_leakage_equals_dense_scan(kwargs, cap, p_points, rounds, p_min):
+    sc = make_scenario(**kwargs)
+    assert (solve_fixed_leakage(sc, cap, p_points=p_points, refine_rounds=rounds,
+                                p_min=p_min)
+            == _dense_fixed_leakage(sc, cap, p_points, rounds, p_min))
+
+
+def test_fixed_leakage_equals_dense_scan_random(rng):
+    """Seeded random scenarios, caps from 1e-14 to 0.5 and power floors: the
+    same triple as the dense scan."""
+    for _ in range(10):
+        sc = make_scenario(d=int(rng.integers(20, 800)), z_b=float(rng.uniform(1.0, 6.0)),
+                           z_e=float(rng.uniform(0.3, 1.5)),
+                           m_cap=int(rng.integers(100, 1500)),
+                           p_cap=float(rng.uniform(1.0, 20.0)))
+        cap = float(10.0 ** rng.uniform(-14.0, math.log10(0.5)))
+        p_points = int(rng.integers(1, 150))
+        rounds = int(rng.integers(0, 4))
+        p_min = float(sc.p_cap * 10.0 ** rng.uniform(-8, 0)) if rng.random() < 0.5 else None
+        assert (solve_fixed_leakage(sc, cap, p_points=p_points, refine_rounds=rounds,
+                                    p_min=p_min)
+                == _dense_fixed_leakage(sc, cap, p_points, rounds, p_min))
+
+
+def test_fixed_leakage_infeasible_cap_raises_like_dense_scan():
+    """A strong eavesdropper at full power decodes even a one-use code: every
+    cell leaks more than the cap."""
+    sc = make_scenario(z_b=200.0, z_e=100.0, d=2, m_cap=400)
+    with pytest.raises(InfeasibleError):
+        _dense_fixed_leakage(sc, 0.5, 40, 2, p_min=sc.p_cap)
+    with pytest.raises(InfeasibleError):
+        solve_fixed_leakage(sc, 0.5, p_points=40, refine_rounds=2, p_min=sc.p_cap)
+
+
+@pytest.mark.parametrize("p_min", [40.0, 0.0, -1.0])
+def test_fixed_leakage_p_min_outside_box_rejected(default_scenario, p_min):
+    with pytest.raises(ValueError):
+        solve_fixed_leakage(default_scenario, 1e-3, p_points=50, p_min=p_min)
 
 
 # ---------------------------------------------------------------------------

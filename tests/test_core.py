@@ -20,6 +20,7 @@ from fblsec.core import (
     snr,
 )
 from fblsec.errors import DegenerateChannelError
+from fblsec.solver import LinkSet
 
 from conftest import make_scenario
 
@@ -226,6 +227,21 @@ def test_monotonicity_in_resources(rng):
         if not (e_m < e0 and e_p < e0):
             violations += 1
     assert violations == 0
+
+
+@pytest.mark.parametrize("d", [1, 100, 320, 700])
+def test_exponent_strictly_increasing_on_grids(d):
+    """The premise of the oracle's tile bound: the decoding exponent rises
+    strictly along every blocklength 1..m_cap and along a geometric power
+    grid, for every link of a set and through both implementations."""
+    sc = make_scenario(d=d, z_b=4.0, eve_gains=(0.05, 0.3, 1.0, 2.5, 10.0))
+    links = LinkSet(sc.d, sc.bob, sc.eves, sc.m_cap, sc.p_cap)
+    ms = np.arange(1, sc.m_cap + 1, dtype=float)[:, None]
+    ps = np.geomspace(sc.p_cap * 1e-6, sc.p_cap, 400)[None, :]
+    for idx, ch in enumerate(links.channels):
+        for w in (omega(snr(ch, ps), sc.d, ms), links.omega_link(idx, ms, ps)):
+            assert np.all(np.diff(w, axis=0) > 0.0)
+            assert np.all(np.diff(w, axis=1) > 0.0)
 
 
 def test_scenario_validation():

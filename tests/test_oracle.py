@@ -1,9 +1,39 @@
+import math
+
 import numpy as np
 import pytest
 
-from fblsec.core import Resources, lfp_at
-from fblsec.oracle import GridSpec, exhaustive_min_lfp, golden_section_max
+from fblsec.core import EveModel, Resources, lfp_at
+from fblsec.multi_eve import linkset_for
+from fblsec.oracle import GridSpec, exhaustive_min_lfp, golden_section_max, grid_argmin
 from fblsec.solver import solve_joint
+
+from conftest import make_scenario
+
+
+def _dense_min_lfp(scenario, grid):
+    """Reference for exhaustive_min_lfp: every cell of every round's grid in
+    one array, with the same zoom and lexicographic tie-break."""
+    links = linkset_for(scenario)
+    m_lo, m_hi = grid.m_range or (1, scenario.m_cap)
+    p_min = grid.p_min if grid.p_min is not None else scenario.p_cap * 1e-4
+    p_lo, p_hi = p_min, scenario.p_cap
+    ms = np.arange(m_lo, m_hi + 1, dtype=float)[:, None]
+    best = None
+    for _ in range(grid.refine_rounds + 1):
+        if grid.p_points == 1:
+            ps = np.array([p_hi])
+        else:
+            ps = np.geomspace(p_lo, p_hi, grid.p_points)
+        vals = links.lfp(ms, ps[None, :])
+        i, j = np.unravel_index(int(np.argmin(vals)), vals.shape)
+        cand = (float(vals[i, j]), int(ms[i, 0]), float(ps[j]))
+        if best is None or cand < best:
+            best = cand
+        width = (p_hi / p_lo) ** 0.1
+        p_lo = max(p_min, best[2] / width)
+        p_hi = min(scenario.p_cap, best[2] * width)
+    return best[1], best[2], best[0]
 
 
 def test_degenerate_grid_single_point(default_scenario):
@@ -55,6 +85,115 @@ def test_oracle_not_above_solver(default_scenario):
     _, _, v = exhaustive_min_lfp(default_scenario, GridSpec(p_points=400))
     # the grid may sit above the continuous optimum only by its resolution
     assert v <= res.eps_lf * (1.0 + 2e-3)
+
+
+DENSE_CASES = [
+    (dict(z_b=1.5), GridSpec(p_points=120, refine_rounds=3)),
+    (dict(z_b=2.0, d=300), GridSpec(m_range=(40, 1700), p_points=90, refine_rounds=2)),
+    (dict(z_b=2.0, eve_gains=(1.0, 0.5)), GridSpec(p_points=80, refine_rounds=1)),
+    (dict(z_b=2.5, eve_gains=(1.0, 0.5, 0.8)),
+     GridSpec(p_points=60, refine_rounds=2, p_min=1e-3)),
+    (dict(z_b=2.5, eve_gains=(0.8, 0.9), eve_model=EveModel.SUPER),
+     GridSpec(p_points=70, refine_rounds=3)),
+    (dict(z_b=3.0, d=150), GridSpec(m_range=(7, 7), p_points=1, refine_rounds=2)),
+    (dict(z_b=1.2, d=500), GridSpec(m_range=(300, 2999), p_points=1, refine_rounds=0)),
+    # the LFP underflows to exactly 0.0 on a whole region of this grid
+    (dict(z_b=4.0, d=700), GridSpec(p_points=100, refine_rounds=2)),
+]
+
+
+@pytest.mark.parametrize("kwargs,grid", DENSE_CASES)
+def test_pruned_scan_equals_dense_scan(kwargs, grid):
+    sc = make_scenario(**kwargs)
+    assert exhaustive_min_lfp(sc, grid) == _dense_min_lfp(sc, grid)
+
+
+def test_pruned_scan_equals_dense_scan_random(rng):
+    """Seeded random scenarios and grids: the same triple as the dense scan."""
+    for _ in range(12):
+        n = int(rng.integers(1, 4))
+        model = EveModel.SUPER if n > 1 and rng.random() < 0.5 else EveModel.PASSIVE
+        sc = make_scenario(d=int(rng.integers(50, 800)), z_b=float(rng.uniform(1.0, 6.0)),
+                           eve_gains=tuple(rng.uniform(0.3, 1.5, n)), eve_model=model,
+                           m_cap=int(rng.integers(200, 1500)),
+                           p_cap=float(rng.uniform(1.0, 20.0)))
+        m_lo = int(rng.integers(1, sc.m_cap))
+        grid = GridSpec(
+            m_range=(m_lo, int(rng.integers(m_lo, sc.m_cap + 1))) if rng.random() < 0.5 else None,
+            p_points=1 if rng.random() < 0.2 else int(rng.integers(2, 80)),
+            refine_rounds=int(rng.integers(0, 4)),
+            p_min=float(sc.p_cap * 10.0 ** rng.uniform(-6, 0)) if rng.random() < 0.5 else None,
+        )
+        assert exhaustive_min_lfp(sc, grid) == _dense_min_lfp(sc, grid)
+
+
+def test_underflow_case_reaches_zero():
+    m, p, v = exhaustive_min_lfp(make_scenario(z_b=4.0, d=700),
+                                 GridSpec(p_points=100, refine_rounds=2))
+    assert v == 0.0
+
+
+@pytest.mark.parametrize("p_min", [40.0, 10.000001])
+def test_p_min_above_p_cap_rejected(default_scenario, p_min):
+    with pytest.raises(ValueError):
+        exhaustive_min_lfp(default_scenario,
+                           GridSpec(p_points=50, refine_rounds=0, p_min=p_min))
+
+
+def test_p_min_at_p_cap_scans_one_power(default_scenario):
+    m, p, _ = exhaustive_min_lfp(default_scenario,
+                                 GridSpec(p_points=50, refine_rounds=1, p_min=10.0))
+    assert p == 10.0
+
+
+def test_grid_argmin_skips_most_of_the_grid(default_scenario):
+    """On the reference scenario the tile bound prunes most cells, and the
+    result is the dense argmin of the same grid."""
+    links = linkset_for(default_scenario)
+    ms = np.arange(1, default_scenario.m_cap + 1, dtype=float)
+    ps = np.geomspace(1e-3, default_scenario.p_cap, 200)
+    evaluated = []
+
+    def values(m, p):
+        evaluated.append(m.size * p.size)
+        return links.lfp(m, p)
+
+    def bound(m_lo, m_hi, p_lo, p_hi):
+        eps_b = links.errors(m_hi, p_hi)[0]
+        return 1.0 - (1.0 - eps_b) * links.errors(m_lo, p_lo)[1]
+
+    best = grid_argmin(ms, ps, values, bound)
+    vals = links.lfp(ms[:, None], ps[None, :])
+    i, j = np.unravel_index(int(np.argmin(vals)), vals.shape)
+    assert best == (float(vals[i, j]), int(ms[i]), float(ps[j]))
+    assert sum(evaluated) < 0.2 * vals.size
+
+
+def test_grid_argmin_ties_and_incumbent():
+    ms = np.arange(1.0, 201.0)
+    ps = np.geomspace(0.1, 1.0, 60)
+
+    def flat(m, p):
+        return np.zeros(np.broadcast_shapes(m.shape, p.shape))
+
+    def zero_bound(m_lo, m_hi, p_lo, p_hi):
+        return np.zeros(np.broadcast_shapes(m_lo.shape, p_lo.shape))
+
+    # a plateau resolves to the lexicographically smallest cell
+    assert grid_argmin(ms, ps, flat, zero_bound) == (0.0, 1, float(ps[0]))
+    # an incumbent tied in value but smaller in (m, p) survives
+    assert grid_argmin(ms[5:], ps, flat, zero_bound, (0.0, 2, 0.05)) == (0.0, 2, 0.05)
+    # a lower incumbent prunes every tile whose bound exceeds it
+    assert grid_argmin(ms, ps, flat, zero_bound, (-1.0, 9, 1.0)) == (-1.0, 9, 1.0)
+
+    def nowhere(m, p):
+        return np.full(np.broadcast_shapes(m.shape, p.shape), math.inf)
+
+    def inf_bound(m_lo, m_hi, p_lo, p_hi):
+        return np.full(np.broadcast_shapes(m_lo.shape, p_lo.shape), math.inf)
+
+    assert grid_argmin(ms, ps, nowhere, inf_bound) is None
+    assert grid_argmin(ms, ps, nowhere, zero_bound) is None
 
 
 def test_golden_section_quadratic():
