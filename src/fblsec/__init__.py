@@ -62,13 +62,11 @@ from .errors import (
     TrendViolationError,
 )
 from .multi_eve import (
-    EveSet,
     approx_lfp_passive,
     lfp_passive,
     passive_anchor,
     scenario_lfp,
     solve_multi,
-    super_gain,
     telescope_leakage,
 )
 from .oracle import GridSpec, exhaustive_min_lfp, golden_section_max
@@ -86,7 +84,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AllocationResult", "ChannelSpec", "ConcavityReport", "ConfigError",
     "DegenerateChannelError", "DegenerateLocalPointError", "EveModel",
-    "EveSet", "ExpBoundCoeffs", "ExponentialGain", "FadingSpec",
+    "ExpBoundCoeffs", "ExponentialGain", "FadingSpec",
     "GaussQuadrature", "GridSpec", "InfeasibleError", "LocalPoint",
     "MonteCarlo", "PointMassGain", "ReliabilityPair", "Resources",
     "Scenario", "SolveTrace", "SolverConfig", "Thresholds",
@@ -101,5 +99,5 @@ __all__ = [
     "rate_threshold_sweep_max", "round_blocklength", "scenario_lfp",
     "secrecy_rate", "snr", "solve_blocklength",
     "solve_blocklength_statistical", "solve_fixed_leakage", "solve_joint",
-    "solve_multi", "super_gain", "telescope_leakage",
+    "solve_multi", "telescope_leakage",
 ]

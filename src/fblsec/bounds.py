@@ -3,8 +3,8 @@ the Gaussian tail function squeezed between anchored exponentials.
 
 Together these turn the leakage-failure probability into a composite
 exponential surrogate that upper-bounds it everywhere and touches it at the
-anchor allocation.  The surrogate's term structure is shared with the
-iterative solver, which differentiates the same terms.
+anchor allocation.  SurrogateModel assembles it over a LinkSet; the
+iterative solver minimizes it and the public approx_* helpers evaluate it.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 from scipy.special import log_ndtr
 
-from .core import Resources, Scenario, omega, q, snr
+from .core import LinkSet, Resources, Scenario, linkset_single, omega, q, snr
 from .errors import DegenerateLocalPointError
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -190,8 +190,6 @@ def build_composite_terms(omega_b_hat: float,
     eps_b0 = min(max(q(omega_b_hat), _EPS_FLOOR), _EPS_CEIL)
     eps_e0 = [min(max(q(w), _EPS_FLOOR), _EPS_CEIL) for w in omega_e_hats]
     delta0 = [max(1.0 - e, _EPS_FLOOR) for e in eps_e0]
-    if eps_b0 <= 0.0 or min(eps_e0) <= 0.0:
-        raise DegenerateLocalPointError("anchor error probabilities must be positive")
 
     coeff_b = exp_bound_coeffs(omega_b_hat)
     coeff_e = [exp_bound_coeffs(w) for w in omega_e_hats]
@@ -230,6 +228,43 @@ def composite_value(terms: Sequence[TermSpec], link_omegas: Sequence):
     return float(total)
 
 
+class SurrogateModel:
+    """The anchored composite surrogate in (m, p), plus the exponent lower
+    bounds that keep every error-probability factor at or below one."""
+
+    def __init__(self, links: LinkSet, m_hat: float, p_hat: float):
+        self.links = links
+        self.m_hat = float(m_hat)
+        self.p_hat = float(p_hat)
+        whats = [float(links.omega_link(i, m_hat, p_hat))
+                 for i in range(len(links.channels))]
+        self.omega_hats = whats
+        self.terms: List[TermSpec] = build_composite_terms(whats[0], whats[1:])
+        self.anchor_value = self.value(m_hat, p_hat)
+        self.omega_floors = self._exponent_floors()
+
+    def _exponent_floors(self) -> List[Tuple[int, float]]:
+        """Per link, the exponent below which its error bound would exceed 1.
+        Links whose bound has degraded to a near-constant carry no floor."""
+        floors = {}
+        for term in self.terms:
+            for fs in term.factors:
+                if fs.sign >= 0:
+                    continue
+                cf = fs.coeffs
+                if cf.a < 1e-100 or cf.c >= 1.0:
+                    continue
+                w_min = (cf.log_b - math.log1p(-cf.c)) / cf.a
+                w_anchor = self.omega_hats[fs.link]
+                margin = 1e-9 * (1.0 + abs(w_anchor))
+                w_min = min(w_min, w_anchor - margin)
+                floors[fs.link] = max(floors.get(fs.link, -math.inf), w_min)
+        return sorted(floors.items())
+
+    def value(self, m, p):
+        return composite_value(self.terms, self.links.omegas(m, p))
+
+
 def approx_lfp(m: float, p: float, scenario: Scenario, lp: LocalPoint) -> float:
     """Anchored convex surrogate of the single-eavesdropper LFP.
 
@@ -238,8 +273,4 @@ def approx_lfp(m: float, p: float, scenario: Scenario, lp: LocalPoint) -> float:
     """
     if lp.eps_b_hat <= 0.0 or lp.eps_e_hat <= 0.0:
         raise DegenerateLocalPointError("local point carries zero error probability")
-    eve = scenario.single_eve
-    terms = build_composite_terms(lp.omega_b_hat, [lp.omega_e_hat])
-    wb = omega(snr(scenario.bob, p), scenario.d, m)
-    we = omega(snr(eve, p), scenario.d, m)
-    return composite_value(terms, [wb, we])
+    return SurrogateModel(linkset_single(scenario), lp.m_hat, lp.p_hat).value(m, p)

@@ -48,8 +48,6 @@ def _parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="JSON configuration file")
         cmd.add_argument("--out", default=None,
                          help="CSV output path (default: config 'output' key, else stdout)")
-        cmd.add_argument("--seed", type=int, default=None,
-                         help="seed forwarded to stochastic estimators")
         cmd.add_argument("--threads", type=int, default=1,
                          help="concurrent sweep points (FBLSEC_THREADS overrides)")
     return parser
@@ -69,8 +67,6 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg.setdefault("seed", int(args.seed))
         if args.command == "eval":
             header, rows = cmd_eval(cfg)
         elif args.command == "solve":

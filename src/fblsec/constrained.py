@@ -16,6 +16,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
+from .convexity import omega_gradient_mgamma
 from .core import (
     Resources,
     Scenario,
@@ -26,7 +27,7 @@ from .core import (
     snr,
 )
 from .errors import InfeasibleError
-from .oracle import golden_section_max, grid_argmin
+from .oracle import golden_section_max, refine_argmin
 
 
 # ---------------------------------------------------------------------------
@@ -210,17 +211,17 @@ def solve_fixed_leakage(scenario: Scenario, delta_cap: float,
 
     Equivalent to pure reliability maximization once the leakage budget is
     pinned; the achieved LFP is reported for comparison against the joint
-    optimum.  Each round scans the box with oracle.grid_argmin: Bob's error
-    falls and the leakage rises in m and p, so a tile's error is at least its
-    value at (m_hi, p_hi), and the whole tile breaks the cap when its leakage
-    at (m_lo, p_lo) does.  The result equals a scan of every cell."""
+    optimum.  The box is scanned and refined with oracle.refine_argmin (one
+    power point means p_cap alone): Bob's error falls and the leakage rises
+    in m and p, so a tile's error is at least its value at (m_hi, p_hi), and
+    the whole tile breaks the cap when its leakage at (m_lo, p_lo) does.  The
+    result equals a scan of every cell."""
     if not 0.0 < delta_cap <= 0.5:
         raise ValueError(f"delta_cap must lie in (0, 0.5], got {delta_cap}")
     eve = scenario.single_eve
     p_min = p_min if p_min is not None else scenario.p_cap * 1e-6
     if not 0.0 < p_min <= scenario.p_cap:
         raise ValueError(f"p_min must lie in (0, p_cap], got {p_min}")
-    p_lo, p_hi = p_min, scenario.p_cap
     ms = np.arange(1, scenario.m_cap + 1, dtype=float)
 
     def capped_eps_b(m, p):
@@ -234,16 +235,10 @@ def solve_fixed_leakage(scenario: Scenario, delta_cap: float,
         eps_b = fbl_error(snr(scenario.bob, p_hi), scenario.d, m_hi)
         return np.where(leak > delta_cap * (1.0 + 1e-9) + 1e-15, np.inf, eps_b)
 
-    best: Optional[Tuple[float, int, float]] = None
-    for _round in range(refine_rounds + 1):
-        ps = np.geomspace(p_lo, p_hi, p_points)
-        best = grid_argmin(ms, ps, capped_eps_b, bound, best)
-        if best is None:
-            raise InfeasibleError("the leakage cap is violated everywhere in the box")
-        width = (p_hi / p_lo) ** (1.0 / 10.0)
-        p_lo = max(p_min, best[2] / width)
-        p_hi = min(scenario.p_cap, best[2] * width)
-
+    best = refine_argmin(ms, p_min, scenario.p_cap, p_points, refine_rounds,
+                         capped_eps_b, bound)
+    if best is None:
+        raise InfeasibleError("the leakage cap is violated everywhere in the box")
     _, m_star, p_star = best
     v, _ = lfp_at(scenario, Resources(float(m_star), p_star))
     return m_star, p_star, v
@@ -277,11 +272,7 @@ def _decode_transition(scenario: Scenario, res: Resources) -> Tuple[float, float
     gamma_star = 2.0 ** r - 1.0
     k = res.p / eve.noise_power
     z_star = gamma_star / k
-    t = gamma_star * gamma_star + 2.0 * gamma_star
-    d_omega_d_gamma = math.sqrt(res.m) * t ** -1.5 * (
-        t - math.log1p(gamma_star) + r * math.log(2.0)
-    )
-    slope = d_omega_d_gamma * k
+    slope = float(omega_gradient_mgamma(gamma_star, scenario.d, res.m)[1]) * k
     if slope <= 0.0 or not math.isfinite(slope):
         return z_star, math.inf
     return z_star, 8.0 / slope

@@ -1,6 +1,7 @@
 """Finite-blocklength primitives: SNR, capacity, dispersion, the Gaussian tail
 function and its inverse, the decoding exponent, per-link error probabilities,
-and the leakage-failure probability that combines them.
+and the leakage-failure probability that combines them.  LinkSet evaluates
+them over all links of a scenario at once; every LFP evaluator goes through it.
 
 All probability outputs are clamped to [0, 1].  Functions accept numpy arrays
 wherever that is natural; scalar floats come back for scalar inputs.
@@ -11,12 +12,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import erfc, ndtri
 
-from .errors import DegenerateChannelError
+from .errors import DegenerateChannelError, InfeasibleError
 
 LN2 = math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
@@ -199,9 +200,14 @@ def omega(gamma, d, m):
     mv = np.asarray(m, dtype=float)
     if np.any(mv <= 0.0):
         raise ValueError("blocklength must be > 0")
-    v = 1.0 - (1.0 + g) ** -2
-    out = np.sqrt(mv / v) * (np.log2(1.0 + g) - d / mv) * LN2
+    out = _omega(g, d, mv)
     return out if (np.ndim(gamma) or np.ndim(m)) else float(out)
+
+
+def _omega(g, d, m):
+    """The exponent sqrt(m / V) * (C - d/m) * ln 2 on float arrays, unchecked."""
+    v = 1.0 - (1.0 + g) ** -2
+    return np.sqrt(m / v) * (np.log2(1.0 + g) - d / m) * LN2
 
 
 def fbl_error(gamma, d, m):
@@ -222,14 +228,76 @@ def lfp_from_errors(eps_b, eps_e):
     return 1.0 - (1.0 - eps_b) * eps_e
 
 
+# ---------------------------------------------------------------------------
+# link sets: the link kernel behind every LFP evaluation
+# ---------------------------------------------------------------------------
+
+class LinkSet:
+    """Bob plus N eavesdropper links of one scenario, with vectorized exponent
+    and LFP evaluation.  Index 0 is Bob."""
+
+    def __init__(self, d: int, bob: ChannelSpec, eves: Sequence[ChannelSpec],
+                 m_cap: int, p_cap: float):
+        self.d = d
+        self.m_cap = int(m_cap)
+        self.p_cap = float(p_cap)
+        self.channels: Tuple[ChannelSpec, ...] = (bob,) + tuple(eves)
+        self.k = np.array([c.gain / c.noise_power for c in self.channels])
+        if np.any(self.k <= 0.0):
+            raise InfeasibleError("every link needs a positive gain to noise ratio")
+
+    def omega_link(self, idx: int, m, p):
+        return _omega(self.k[idx] * np.asarray(p, dtype=float), self.d,
+                      np.asarray(m, dtype=float))
+
+    def omegas(self, m, p) -> list:
+        return [self.omega_link(i, m, p) for i in range(len(self.channels))]
+
+    def errors(self, m, p) -> list:
+        return [np.clip(q(w), 0.0, 1.0) for w in self.omegas(m, p)]
+
+    def eps_pair(self, m, p):
+        """(eps_b, eps_e): Bob's error and the joint failure of the
+        eavesdroppers, the product of their errors."""
+        errs = self.errors(m, p)
+        eps_e = errs[1]
+        for e in errs[2:]:
+            eps_e = eps_e * e
+        return errs[0], eps_e
+
+    def lfp(self, m, p):
+        """Actual LFP: passive combination across all eavesdropper links
+        (a single link reduces to the two-node formula)."""
+        return lfp_from_errors(*self.eps_pair(m, p))
+
+    def pair(self, m: float, p: float) -> ReliabilityPair:
+        eps_b, eps_e = self.eps_pair(m, p)
+        return ReliabilityPair(eps_b=float(eps_b), eps_e=float(eps_e))
+
+
+def linkset_single(scenario: Scenario) -> LinkSet:
+    """Link set of a single-eavesdropper scenario (ValueError otherwise)."""
+    return LinkSet(scenario.d, scenario.bob, (scenario.single_eve,),
+                   scenario.m_cap, scenario.p_cap)
+
+
+def linkset_for(scenario: Scenario) -> LinkSet:
+    """Link set realizing the scenario's eavesdropper model: the super model
+    collapses the colluders to one link with the summed gain (they must share
+    one noise power), the passive model keeps all links."""
+    eves = scenario.eves
+    if scenario.eve_model is EveModel.SUPER and len(eves) > 1:
+        noises = {e.noise_power for e in eves}
+        if len(noises) != 1:
+            raise ValueError("eavesdroppers must share one noise power")
+        eves = (ChannelSpec(gain=float(sum(e.gain for e in eves)),
+                            noise_power=noises.pop()),)
+    return LinkSet(scenario.d, scenario.bob, eves, scenario.m_cap, scenario.p_cap)
+
+
 def lfp_at(scenario: Scenario, res: Resources) -> Tuple[float, ReliabilityPair]:
     """Evaluate the LFP of a single-eavesdropper scenario at an allocation."""
-    eve = scenario.single_eve
-    gb = snr(scenario.bob, res.p)
-    ge = snr(eve, res.p)
-    eps_b = fbl_error(gb, scenario.d, res.m)
-    eps_e = fbl_error(ge, scenario.d, res.m)
-    pair = ReliabilityPair(eps_b=eps_b, eps_e=eps_e)
+    pair = linkset_single(scenario).pair(res.m, res.p)
     return lfp(pair), pair
 
 
@@ -275,7 +343,5 @@ def fbl_error_over_gains(gains, noise_power: float, p: float, d: int, m):
     pos = np.broadcast_to(z > 1e-300, out.shape)
     g = np.broadcast_to(z * p / noise_power, out.shape)[pos]
     mv = np.broadcast_to(np.asarray(m, dtype=float), out.shape)[pos]
-    v = 1.0 - (1.0 + g) ** -2
-    w = np.sqrt(mv / v) * (np.log2(1.0 + g) - d / mv) * LN2
-    out[pos] = np.clip(q(w), 0.0, 1.0)
+    out[pos] = np.clip(q(_omega(g, d, mv)), 0.0, 1.0)
     return out

@@ -18,9 +18,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .constrained import Thresholds, maximize_throughput, solve_blocklength, solve_fixed_leakage
-from .core import ChannelSpec, EveModel, Resources, Scenario
+from .core import ChannelSpec, EveModel, Resources, Scenario, lfp_from_errors, linkset_for
 from .errors import ConfigError, InfeasibleError, TrendViolationError
-from .multi_eve import linkset_for, scenario_lfp, solve_multi
+from .multi_eve import scenario_lfp, solve_multi
 from .oracle import GridSpec, exhaustive_min_lfp
 from .solver import SolverConfig
 
@@ -143,12 +143,8 @@ def cmd_eval(cfg: dict) -> Tuple[List[str], List[list]]:
     header = ["m", "p", "eps_b", "eps_e", "eps_lf", "flag_insecure"]
     rows = []
     for m in ms:
-        errs = links.errors(float(m), ps)
-        eps_b = np.asarray(errs[0])
-        eps_e = np.ones_like(ps)
-        for e in errs[1:]:
-            eps_e = eps_e * np.asarray(e)
-        eps_lf = 1.0 - (1.0 - eps_b) * eps_e
+        eps_b, eps_e = links.eps_pair(float(m), ps)
+        eps_lf = lfp_from_errors(eps_b, eps_e)
         for j, p in enumerate(ps):
             rows.append([int(m), float(p), float(eps_b[j]), float(eps_e[j]),
                          float(eps_lf[j]), int(eps_lf[j] >= 0.5)])

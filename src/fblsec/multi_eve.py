@@ -11,50 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-from .bounds import build_composite_terms, composite_value
-from .core import (
-    ChannelSpec,
-    EveModel,
-    Resources,
-    Scenario,
-    fbl_error,
-    lfp_from_errors,
-    omega,
-    snr,
-)
-from .solver import AllocationResult, LinkSet, SolverConfig, run_iteration
-
-
-@dataclass(frozen=True)
-class EveSet:
-    """The eavesdropper side of a scenario: gains, a shared noise floor, and
-    the collusion model."""
-
-    gains: Tuple[float, ...]
-    noise_power: float
-    model: EveModel
-
-    def __post_init__(self):
-        object.__setattr__(self, "gains", tuple(float(g) for g in self.gains))
-        if len(self.gains) < 1:
-            raise ValueError("at least one eavesdropper is required")
-        if any(g < 0.0 for g in self.gains):
-            raise ValueError("gains must be nonnegative")
-        if not self.noise_power > 0.0:
-            raise ValueError("noise_power must be positive")
-
-    @classmethod
-    def from_scenario(cls, scenario: Scenario) -> "EveSet":
-        noises = {e.noise_power for e in scenario.eves}
-        if len(noises) != 1:
-            raise ValueError("eavesdroppers must share one noise power")
-        return cls(tuple(e.gain for e in scenario.eves), noises.pop(),
-                   scenario.eve_model)
-
-
-def super_gain(eves: EveSet) -> ChannelSpec:
-    """Collapse colluding eavesdroppers into one with the summed gain."""
-    return ChannelSpec(gain=float(sum(eves.gains)), noise_power=eves.noise_power)
+from .bounds import SurrogateModel
+from .core import LinkSet, Resources, Scenario, linkset_for, omega, snr
+from .solver import AllocationResult, SolverConfig, run_iteration
 
 
 def telescope_leakage(eps_e: Sequence[float]) -> float:
@@ -71,15 +30,16 @@ def telescope_leakage(eps_e: Sequence[float]) -> float:
     return total
 
 
+def _passive_links(scenario: Scenario) -> LinkSet:
+    """One link per eavesdropper, whatever the scenario's model."""
+    return LinkSet(scenario.d, scenario.bob, scenario.eves,
+                   scenario.m_cap, scenario.p_cap)
+
+
 def lfp_passive(scenario: Scenario, res: Resources) -> float:
     """LFP with independent eavesdroppers: Bob fails, or at least one
     eavesdropper decodes."""
-    gb = snr(scenario.bob, res.p)
-    eps_b = fbl_error(gb, scenario.d, res.m)
-    prod = 1.0
-    for eve in scenario.eves:
-        prod *= fbl_error(snr(eve, res.p), scenario.d, res.m)
-    return float(lfp_from_errors(eps_b, prod))
+    return float(_passive_links(scenario).lfp(res.m, res.p))
 
 
 @dataclass(frozen=True)
@@ -112,32 +72,12 @@ def approx_lfp_passive(m: float, p: float, scenario: Scenario,
     (a single-eavesdropper LocalPoint included); exponents are derived from
     the anchor allocation.
     """
-    m_hat, p_hat = float(anchor.m_hat), float(anchor.p_hat)
-    wb_hat = omega(snr(scenario.bob, p_hat), scenario.d, m_hat)
-    we_hats = [
-        float(omega(snr(e, p_hat), scenario.d, m_hat)) for e in scenario.eves
-    ]
-    terms = build_composite_terms(float(wb_hat), we_hats)
-    wb = omega(snr(scenario.bob, p), scenario.d, m)
-    wes = [omega(snr(e, p), scenario.d, m) for e in scenario.eves]
-    return composite_value(terms, [wb] + wes)
-
-
-def linkset_for(scenario: Scenario) -> LinkSet:
-    """Link set realizing the scenario's eavesdropper model: the super model
-    collapses to one summed-gain link, the passive model keeps all links."""
-    if scenario.eve_model is EveModel.SUPER and len(scenario.eves) > 1:
-        combined = super_gain(EveSet.from_scenario(scenario))
-        return LinkSet(scenario.d, scenario.bob, (combined,),
-                       scenario.m_cap, scenario.p_cap)
-    return LinkSet(scenario.d, scenario.bob, scenario.eves,
-                   scenario.m_cap, scenario.p_cap)
+    return SurrogateModel(_passive_links(scenario), anchor.m_hat, anchor.p_hat).value(m, p)
 
 
 def scenario_lfp(scenario: Scenario, res: Resources) -> float:
     """Actual LFP of any scenario under its own eavesdropper model."""
-    links = linkset_for(scenario)
-    return float(links.lfp(res.m, res.p))
+    return float(linkset_for(scenario).lfp(res.m, res.p))
 
 
 def solve_multi(scenario: Scenario, cfg: SolverConfig | None = None) -> AllocationResult:

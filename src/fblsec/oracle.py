@@ -3,9 +3,9 @@ a geometric power grid (with local refinement), and an integer golden-section
 maximizer for unimodal objectives.  These are the benchmarks every solver
 claim is validated against.
 
-The grid searches here and in the fixed-leakage baseline share grid_argmin,
-a branch-and-bound scanner that returns the same minimizer as evaluating
-every cell.
+The grid searches here and in the fixed-leakage baseline share refine_argmin,
+a power-zoom loop around grid_argmin, a branch-and-bound scanner that
+returns the same minimizer as evaluating every cell.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .core import Scenario, lfp_from_errors
-from .multi_eve import linkset_for
+from .core import Scenario, lfp_from_errors, linkset_for
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _TILE_M = 64
@@ -88,6 +87,30 @@ def grid_argmin(ms, ps, values: Callable, bound: Callable,
     return best
 
 
+def refine_argmin(ms, p_min: float, p_cap: float, p_points: int,
+                  refine_rounds: int, values: Callable, bound: Callable
+                  ) -> Optional[Tuple[float, int, float]]:
+    """grid_argmin over ms and p_points geometric powers on [p_min, p_cap]
+    (p_cap alone when p_points is 1), then refine_rounds passes that zoom the
+    power window around the incumbent, its log-width shrinking five-fold per
+    pass.  Returns the incumbent (value, m, p), or None when no cell of the
+    first grid is finite."""
+    p_lo, p_hi = p_min, p_cap
+    best = None
+    for _round in range(refine_rounds + 1):
+        if p_points == 1:
+            ps = np.array([p_hi])
+        else:
+            ps = np.geomspace(p_lo, p_hi, p_points)
+        best = grid_argmin(ms, ps, values, bound, best)
+        if best is None:
+            return None
+        width = (p_hi / p_lo) ** (1.0 / 10.0)
+        p_lo = max(p_min, best[2] / width)
+        p_hi = min(p_cap, best[2] * width)
+    return best
+
+
 def exhaustive_min_lfp(scenario: Scenario, grid: GridSpec | None = None
                        ) -> Tuple[int, float, float]:
     """Global minimum of the actual LFP over the grid: returns (m, p, value).
@@ -110,25 +133,14 @@ def exhaustive_min_lfp(scenario: Scenario, grid: GridSpec | None = None
     p_min = grid.p_min if grid.p_min is not None else scenario.p_cap * 1e-4
     if not 0.0 < p_min <= scenario.p_cap:
         raise ValueError(f"p_min must lie in (0, p_cap], got {p_min}")
-    p_lo, p_hi = p_min, scenario.p_cap
     ms = np.arange(m_lo, m_hi + 1, dtype=float)
 
     def bound(tm_lo, tm_hi, tp_lo, tp_hi):
-        eps_b = links.errors(tm_hi, tp_hi)[0]
-        eps_e = np.prod(links.errors(tm_lo, tp_lo)[1:], axis=0)
-        return lfp_from_errors(eps_b, eps_e)
+        return lfp_from_errors(links.eps_pair(tm_hi, tp_hi)[0],
+                               links.eps_pair(tm_lo, tp_lo)[1])
 
-    best = None
-    for _round in range(grid.refine_rounds + 1):
-        if grid.p_points == 1:
-            ps = np.array([p_hi])
-        else:
-            ps = np.geomspace(p_lo, p_hi, grid.p_points)
-        best = grid_argmin(ms, ps, links.lfp, bound, best)
-        # zoom the power window around the incumbent
-        width = (p_hi / p_lo) ** (1.0 / 10.0)
-        p_lo = max(p_min, best[2] / width)
-        p_hi = min(scenario.p_cap, best[2] * width)
+    best = refine_argmin(ms, p_min, scenario.p_cap, grid.p_points,
+                         grid.refine_rounds, links.lfp, bound)
     return best[1], best[2], best[0]
 
 

@@ -15,24 +15,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .bounds import TermSpec, build_composite_terms, composite_value
+from .bounds import SurrogateModel
 from .convexity import rate_threshold_sweep_max
 from .core import (
-    LN2,
-    ChannelSpec,
+    LinkSet,
     ReliabilityPair,
     Resources,
     Scenario,
     lfp_from_errors,
-    q,
+    linkset_single,
+    q,  # noqa: F401  kept bound here: perfbench's tracer tests patch it in solver
 )
 from .errors import InfeasibleError
 
 _P_FLOOR_FACTOR = 1e-12
+_M_MIN = 1.0        # smallest relaxed blocklength
+_SEED_GRID = 48     # points per axis of the inner step's coarse scan
 
 
 # ---------------------------------------------------------------------------
@@ -53,8 +55,6 @@ class SolverConfig:
     mu_th: float = 1e-8
     max_iter: int = 100
     init: Optional[Resources] = None
-    m_min: float = 1.0
-    seed_grid: int = 48
 
 
 @dataclass(frozen=True)
@@ -83,102 +83,6 @@ class AllocationResult:
     eps_lf: float
     pair: ReliabilityPair
     trace: SolveTrace
-
-
-# ---------------------------------------------------------------------------
-# link sets: everything the iteration needs to evaluate a scenario
-# ---------------------------------------------------------------------------
-
-class LinkSet:
-    """Bob plus N eavesdropper links of one scenario, with vectorized exponent
-    and LFP evaluation.  Index 0 is Bob."""
-
-    def __init__(self, d: int, bob: ChannelSpec, eves: Sequence[ChannelSpec],
-                 m_cap: int, p_cap: float):
-        self.d = d
-        self.m_cap = int(m_cap)
-        self.p_cap = float(p_cap)
-        self.channels: Tuple[ChannelSpec, ...] = (bob,) + tuple(eves)
-        self.k = np.array([c.gain / c.noise_power for c in self.channels])
-        if np.any(self.k <= 0.0):
-            raise InfeasibleError("every link needs a positive gain to noise ratio")
-
-    @property
-    def n_eves(self) -> int:
-        return len(self.channels) - 1
-
-    def omega_link(self, idx: int, m, p):
-        g = self.k[idx] * np.asarray(p, dtype=float)
-        v = 1.0 - (1.0 + g) ** -2
-        return np.sqrt(np.asarray(m, dtype=float) / v) * (
-            np.log2(1.0 + g) - self.d / np.asarray(m, dtype=float)
-        ) * LN2
-
-    def omegas(self, m, p) -> list:
-        return [self.omega_link(i, m, p) for i in range(len(self.channels))]
-
-    def errors(self, m, p) -> list:
-        return [np.clip(q(w), 0.0, 1.0) for w in self.omegas(m, p)]
-
-    def lfp(self, m, p):
-        """Actual LFP: passive combination across all eavesdropper links
-        (a single link reduces to the two-node formula)."""
-        errs = self.errors(m, p)
-        prod = errs[1]
-        for e in errs[2:]:
-            prod = prod * e
-        return lfp_from_errors(errs[0], prod)
-
-    def pair(self, m: float, p: float) -> ReliabilityPair:
-        errs = self.errors(m, p)
-        prod = float(np.prod(errs[1:]))
-        return ReliabilityPair(eps_b=float(errs[0]), eps_e=prod)
-
-
-def linkset_single(scenario: Scenario) -> LinkSet:
-    return LinkSet(scenario.d, scenario.bob, (scenario.single_eve,),
-                   scenario.m_cap, scenario.p_cap)
-
-
-# ---------------------------------------------------------------------------
-# anchored surrogate
-# ---------------------------------------------------------------------------
-
-class SurrogateModel:
-    """The anchored composite surrogate in (m, p), plus the exponent lower
-    bounds that keep every error-probability factor at or below one."""
-
-    def __init__(self, links: LinkSet, m_hat: float, p_hat: float):
-        self.links = links
-        self.m_hat = float(m_hat)
-        self.p_hat = float(p_hat)
-        whats = [float(links.omega_link(i, m_hat, p_hat))
-                 for i in range(len(links.channels))]
-        self.omega_hats = whats
-        self.terms: List[TermSpec] = build_composite_terms(whats[0], whats[1:])
-        self.anchor_value = self.value(m_hat, p_hat)
-        self.omega_floors = self._exponent_floors()
-
-    def _exponent_floors(self) -> List[Tuple[int, float]]:
-        """Per link, the exponent below which its error bound would exceed 1.
-        Links whose bound has degraded to a near-constant carry no floor."""
-        floors = {}
-        for term in self.terms:
-            for fs in term.factors:
-                if fs.sign >= 0:
-                    continue
-                cf = fs.coeffs
-                if cf.a < 1e-100 or cf.c >= 1.0:
-                    continue
-                w_min = (cf.log_b - math.log1p(-cf.c)) / cf.a
-                w_anchor = self.omega_hats[fs.link]
-                margin = 1e-9 * (1.0 + abs(w_anchor))
-                w_min = min(w_min, w_anchor - margin)
-                floors[fs.link] = max(floors.get(fs.link, -math.inf), w_min)
-        return sorted(floors.items())
-
-    def value(self, m, p):
-        return composite_value(self.terms, self.links.omegas(m, p))
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +126,8 @@ def minimize_surrogate(model: SurrogateModel, box, cfg: SolverConfig):
     m_lo, m_hi, p_lo, p_hi = box
 
     # ---- coarse feasible seed (vectorized scan plus the anchor)
-    ms = np.geomspace(m_lo, m_hi, cfg.seed_grid)[:, None]
-    ps = np.geomspace(max(p_lo, p_hi * 1e-8), p_hi, cfg.seed_grid)[None, :]
+    ms = np.geomspace(m_lo, m_hi, _SEED_GRID)[:, None]
+    ps = np.geomspace(max(p_lo, p_hi * 1e-8), p_hi, _SEED_GRID)[None, :]
     vals = _masked_values(model, ms, ps)
     i, j = np.unravel_index(int(np.argmin(vals)), vals.shape)
     best = (float(ms[i, 0]), float(ps[0, j]), float(vals[i, j]))
@@ -273,7 +177,7 @@ def default_init(links: LinkSet, box) -> Tuple[float, float]:
 def run_iteration(links: LinkSet, cfg: SolverConfig) -> AllocationResult:
     """Algorithm core shared by the single-, super-, and passive-eavesdropper
     solvers."""
-    box = _resource_box(links, cfg.m_min)
+    box = _resource_box(links, _M_MIN)
     m_lo, m_hi, p_lo, p_hi = box
     if cfg.init is not None:
         m0, p0 = float(cfg.init.m), float(cfg.init.p)
@@ -348,7 +252,7 @@ def inner_minimize(scenario: Scenario, lp, cfg: SolverConfig | None = None):
     cfg = cfg or SolverConfig()
     links = linkset_single(scenario)
     model = SurrogateModel(links, lp.m_hat, lp.p_hat)
-    box = _resource_box(links, cfg.m_min)
+    box = _resource_box(links, _M_MIN)
     m_opt, p_opt, _val = minimize_surrogate(model, box, cfg)
     return m_opt, p_opt
 

@@ -400,7 +400,7 @@ def test_criterion_13_cli_determinism(tmp_path):
         payloads = []
         for run in range(2):
             out = tmp_path / f"{command}_{run}.csv"
-            rc = cli_main([command, "--config", str(cfg_path), "--seed", "11",
+            rc = cli_main([command, "--config", str(cfg_path),
                            "--out", str(out)])
             assert rc == 0
             payloads.append(out.read_bytes())

@@ -175,7 +175,7 @@ def test_byte_determinism_across_runs(tmp_path):
     outs = []
     for name in ("a.csv", "b.csv"):
         out = tmp_path / name
-        assert main(["sweep", "--config", cfg_path, "--seed", "7",
+        assert main(["sweep", "--config", cfg_path,
                      "--out", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]

@@ -34,7 +34,8 @@ def _dense_fixed_leakage(scenario, cap, p_points, refine_rounds, p_min=None):
     ms = np.arange(1, scenario.m_cap + 1, dtype=float)[:, None]
     best = None
     for _ in range(refine_rounds + 1):
-        ps = np.geomspace(p_lo, p_hi, p_points)[None, :]
+        ps = (np.array([p_hi]) if p_points == 1
+              else np.geomspace(p_lo, p_hi, p_points))[None, :]
         eps_e = fbl_error(snr(eve, ps), scenario.d, ms)
         eps_b = fbl_error(snr(scenario.bob, ps), scenario.d, ms)
         masked = np.where(1.0 - eps_e <= cap, eps_b, np.inf)
@@ -253,6 +254,13 @@ def test_fixed_leakage_infeasible_cap_raises_like_dense_scan():
         _dense_fixed_leakage(sc, 0.5, 40, 2, p_min=sc.p_cap)
     with pytest.raises(InfeasibleError):
         solve_fixed_leakage(sc, 0.5, p_points=40, refine_rounds=2, p_min=sc.p_cap)
+
+
+def test_fixed_leakage_single_power_point_is_p_cap(default_scenario):
+    """One power point scans p_cap, as the oracle does, not the floor."""
+    m, p, v = solve_fixed_leakage(default_scenario, 1e-3, p_points=1)
+    assert (m, p) == (43, default_scenario.p_cap)
+    assert v == lfp_at(default_scenario, Resources(43.0, default_scenario.p_cap))[0]
 
 
 @pytest.mark.parametrize("p_min", [40.0, 0.0, -1.0])

@@ -1,18 +1,22 @@
+import csv
+import json
+
 import numpy as np
 import pytest
 
+from fblsec.bounds import approx_lfp, local_point
+from fblsec.cli import main as cli_main
 from fblsec.core import ChannelSpec, EveModel, Resources, lfp_at
 from fblsec.multi_eve import (
-    EveSet,
     approx_lfp_passive,
+    linkset_for,
     lfp_passive,
     passive_anchor,
     scenario_lfp,
     solve_multi,
-    super_gain,
     telescope_leakage,
 )
-from fblsec.solver import solve_joint
+from fblsec.solver import SurrogateModel, solve_joint
 
 from conftest import make_scenario
 
@@ -57,19 +61,73 @@ def test_telescope_identity_random(rng):
         )
 
 
-def test_super_gain_sums():
-    es = EveSet(gains=(1.0, 1.0), noise_power=0.1, model=EveModel.SUPER)
-    assert super_gain(es).gain == 2.0
-    single = EveSet(gains=(0.7,), noise_power=0.1, model=EveModel.SUPER)
-    assert super_gain(single).gain == 0.7
+def test_super_links_sum_gains():
+    pair = make_scenario(eve_gains=[1.0, 1.0], eve_model=EveModel.SUPER)
+    eves = linkset_for(pair).channels[1:]
+    assert [(e.gain, e.noise_power) for e in eves] == [(2.0, 0.1)]
+    single = make_scenario(eve_gains=[0.7], eve_model=EveModel.SUPER)
+    assert [e.gain for e in linkset_for(single).channels[1:]] == [0.7]
 
 
-def test_eveset_from_scenario_requires_shared_noise():
+def test_super_links_require_shared_noise():
     sc = make_scenario(eve_gains=[1.0, 2.0])
-    assert EveSet.from_scenario(sc).gains == (1.0, 2.0)
-    mixed = sc.with_updates(eves=(ChannelSpec(1.0, 0.1), ChannelSpec(1.0, 0.2)))
+    assert [e.gain for e in linkset_for(sc).channels[1:]] == [1.0, 2.0]
+    colluding = sc.with_updates(eve_model=EveModel.SUPER)
+    assert [e.gain for e in linkset_for(colluding).channels[1:]] == [3.0]
+    mixed = colluding.with_updates(eves=(ChannelSpec(1.0, 0.1), ChannelSpec(1.0, 0.2)))
     with pytest.raises(ValueError):
-        EveSet.from_scenario(mixed)
+        linkset_for(mixed)
+
+
+AGREEMENT_CASES = [
+    ((1.0,), EveModel.PASSIVE),
+    ((1.0, 0.5), EveModel.PASSIVE),
+    ((1.0, 0.5, 0.8), EveModel.PASSIVE),
+    ((1.0, 0.5, 0.8, 0.6), EveModel.PASSIVE),
+    ((0.8, 0.9), EveModel.SUPER),
+]
+
+
+@pytest.mark.parametrize("gains,model", AGREEMENT_CASES)
+def test_lfp_evaluators_and_surrogates_agree(gains, model, tmp_path):
+    """Every LFP evaluator and both surrogate helpers give the link kernel's
+    values: lfp_at (one eavesdropper), scenario_lfp, lfp_passive (passive),
+    LinkSet.lfp, the fblsec eval rows, and the solver's SurrogateModel."""
+    sc = make_scenario(z_b=2.5, eve_gains=gains, eve_model=model)
+    links = linkset_for(sc)
+    # one eavesdropper, or the colluders' single summed-gain link
+    single = (make_scenario(z_b=2.5, eve_gains=[sum(gains)])
+              if len(gains) == 1 or model is EveModel.SUPER else None)
+    cfg = {"scenario": {
+        "d": sc.d, "bob": {"gain": sc.bob.gain, "noise_power": sc.bob.noise_power},
+        "eves": [{"gain": e.gain, "noise_power": e.noise_power} for e in sc.eves],
+        "eve_model": model.value, "m_cap": sc.m_cap, "p_cap": sc.p_cap},
+        "eval": {"m_points": 6, "p_points": 7, "m_range": [60, 2400],
+                 "p_range": [1e-3, 10.0]}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "eval.csv"
+    assert cli_main(["eval", "--config", str(cfg_path), "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert len(rows) == 42
+    for row in rows:
+        res = Resources(float(row["m"]), float(row["p"]))
+        v = float(links.lfp(res.m, res.p))
+        assert float(row["eps_lf"]) == v
+        assert scenario_lfp(sc, res) == v
+        if single is not None:
+            assert lfp_at(single, res)[0] == v
+        if model is EveModel.PASSIVE:
+            assert lfp_passive(sc, res) == v
+
+    anchor = Resources(320.0, 0.1)
+    model_s = SurrogateModel(links, anchor.m, anchor.p)
+    for m, p in [(280.0, 0.12), (500.0, 0.06), (320.0, 0.1), (1500.0, 0.01)]:
+        value = model_s.value(m, p)
+        if single is not None:
+            assert approx_lfp(m, p, single, local_point(single, anchor)) == value
+        if model is EveModel.PASSIVE:
+            assert approx_lfp_passive(m, p, sc, passive_anchor(sc, anchor)) == value
 
 
 def test_approx_passive_tight_at_anchor():
