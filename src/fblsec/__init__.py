@@ -64,7 +64,6 @@ from .errors import (
 from .multi_eve import (
     approx_lfp_passive,
     lfp_passive,
-    passive_anchor,
     scenario_lfp,
     solve_multi,
     telescope_leakage,
@@ -95,7 +94,7 @@ __all__ = [
     "lfp", "lfp_at", "lfp_passive", "local_point", "max_rate",
     "maximize_throughput", "omega", "omega_gradient", "omega_hessian",
     "omega_hessian_fd", "omega_hessian_mgamma", "one_minus_q_upper",
-    "passive_anchor", "q", "q_inv", "q_upper", "rate_threshold",
+    "q", "q_inv", "q_upper", "rate_threshold",
     "rate_threshold_sweep_max", "round_blocklength", "scenario_lfp",
     "secrecy_rate", "snr", "solve_blocklength",
     "solve_blocklength_statistical", "solve_fixed_leakage", "solve_joint",

@@ -16,7 +16,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 from scipy.special import log_ndtr
 
-from .core import LinkSet, Resources, Scenario, linkset_single, omega, q, snr
+from .core import LinkSet, Resources, Scenario, linkset_for, linkset_single, q
 from .errors import DegenerateLocalPointError
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -118,15 +118,13 @@ def one_minus_q_upper(w, coeffs: ExpBoundCoeffs):
 
 @dataclass(frozen=True)
 class LocalPoint:
-    """The anchor allocation of one surrogate round, with the error
-    probabilities and exponents it induces on Bob's and Eve's links."""
+    """The anchor allocation of one surrogate round, with Bob's error and the
+    eavesdroppers' joint error (the product of theirs) it induces."""
 
     m_hat: float
     p_hat: float
     eps_b_hat: float
     eps_e_hat: float
-    omega_b_hat: float
-    omega_e_hat: float
 
     def __post_init__(self):
         if not (self.m_hat > 0.0 and self.p_hat > 0.0):
@@ -134,15 +132,12 @@ class LocalPoint:
 
 
 def local_point(scenario: Scenario, res: Resources) -> LocalPoint:
-    """Anchor a single-eavesdropper scenario at an allocation.  Error
-    probabilities are floored away from exact 0/1 so downstream ratio weights
-    stay finite."""
-    eve = scenario.single_eve
-    wb = omega(snr(scenario.bob, res.p), scenario.d, res.m)
-    we = omega(snr(eve, res.p), scenario.d, res.m)
-    eb = min(max(q(wb), _EPS_FLOOR), _EPS_CEIL)
-    ee = min(max(q(we), _EPS_FLOOR), _EPS_CEIL)
-    return LocalPoint(res.m, res.p, eb, ee, wb, we)
+    """Anchor a scenario, under its own eavesdropper model, at an allocation.
+    Error probabilities are floored away from exact 0/1 so downstream ratio
+    weights stay finite."""
+    eps_b, eps_e = linkset_for(scenario).eps_pair(res.m, res.p)
+    return LocalPoint(res.m, res.p, min(max(float(eps_b), _EPS_FLOOR), _EPS_CEIL),
+                      min(max(float(eps_e), _EPS_FLOOR), _EPS_CEIL))
 
 
 @dataclass(frozen=True)

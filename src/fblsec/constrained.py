@@ -12,19 +12,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
 from .convexity import omega_gradient_mgamma
 from .core import (
+    LinkSet,
     Resources,
     Scenario,
-    fbl_error,
     fbl_error_over_gains,
-    lfp_at,
     lfp_from_errors,
-    snr,
+    linkset_single,
 )
 from .errors import InfeasibleError
 from .oracle import golden_section_max, refine_argmin
@@ -105,19 +104,11 @@ class FadingSpec:
 # feasible interval and searches at fixed power
 # ---------------------------------------------------------------------------
 
-def _eps_b_at(scenario: Scenario, p: float, m: float) -> float:
-    return fbl_error(snr(scenario.bob, p), scenario.d, m)
-
-
-def _delta_at(scenario: Scenario, p: float, m: float) -> float:
-    return 1.0 - fbl_error(snr(scenario.single_eve, p), scenario.d, m)
-
-
-def _smallest_m_with(pred, lo: int, hi: int) -> Optional[int]:
+def _first_true(pred, lo: int, hi: int) -> int:
     """Smallest integer in [lo, hi] satisfying a predicate that is monotone
-    false-then-true in m; None if even hi fails."""
+    false-then-true in m; hi + 1 if even hi fails."""
     if not pred(hi):
-        return None
+        return hi + 1
     if pred(lo):
         return lo
     while hi - lo > 1:
@@ -129,57 +120,41 @@ def _smallest_m_with(pred, lo: int, hi: int) -> Optional[int]:
     return hi
 
 
-def _largest_m_with(pred, lo: int, hi: int) -> Optional[int]:
-    """Largest integer in [lo, hi] satisfying a predicate that is monotone
-    true-then-false in m; None if even lo fails."""
-    if not pred(lo):
-        return None
-    if pred(hi):
-        return hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if pred(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def feasible_m_interval(scenario: Scenario, p: float, th: Thresholds
-                        ) -> Optional[Tuple[int, int]]:
+def _window(links: LinkSet, p: float, th: Thresholds,
+            eps_e: Optional[Callable[[float], float]] = None
+            ) -> Optional[Tuple[int, int]]:
     """Integer blocklengths meeting both thresholds at fixed power, or None.
+    eps_e(m) is the eavesdropper's error at blocklength m, by default the
+    link set's own.
 
     Reliability cuts from below (error falls with m), leakage cuts from above
     (leakage rises with m)."""
     if not p > 0.0:
         raise ValueError("power must be positive")
-    m_lo = _smallest_m_with(
-        lambda m: _eps_b_at(scenario, p, float(m)) <= th.eps_b_max, 1, scenario.m_cap
-    )
-    m_hi = _largest_m_with(
-        lambda m: _delta_at(scenario, p, float(m)) <= th.delta_max, 1, scenario.m_cap
-    )
-    if m_lo is None or m_hi is None or m_lo > m_hi:
-        return None
-    return m_lo, m_hi
+    eps_e = eps_e or (lambda m: links.eps_pair(m, p)[1])
+    m_lo = _first_true(lambda m: links.errors(float(m), p)[0] <= th.eps_b_max,
+                       1, links.m_cap)
+    m_hi = _first_true(lambda m: 1.0 - eps_e(float(m)) > th.delta_max,
+                       1, links.m_cap) - 1
+    return (m_lo, m_hi) if m_lo <= m_hi else None
 
 
-def _lfp_at_m(scenario: Scenario, p: float, m: int) -> float:
-    v, _ = lfp_at(scenario, Resources(float(m), p))
-    return v
+def feasible_m_interval(scenario: Scenario, p: float, th: Thresholds
+                        ) -> Optional[Tuple[int, int]]:
+    """Integer blocklengths meeting both thresholds at fixed power, or None."""
+    return _window(linkset_single(scenario), p, th)
 
 
 def solve_blocklength(scenario: Scenario, p: float, th: Thresholds
                       ) -> Tuple[int, float]:
     """Minimize the LFP over the feasible blocklength interval by unimodal
     integer search (the LFP is convex in the blocklength there)."""
-    interval = feasible_m_interval(scenario, p, th)
+    links = linkset_single(scenario)
+    interval = _window(links, p, th)
     if interval is None:
         raise InfeasibleError("no blocklength satisfies both thresholds")
     m_lo, m_hi = interval
-    m_star, neg = golden_section_max(
-        lambda m: -_lfp_at_m(scenario, p, m), m_lo, m_hi
-    )
+    m_star, neg = golden_section_max(lambda m: -links.lfp(float(m), p), m_lo, m_hi)
     return m_star, -neg
 
 
@@ -187,13 +162,14 @@ def maximize_throughput(scenario: Scenario, p: float, th: Thresholds
                         ) -> Tuple[int, float]:
     """Maximize the effective secrecy throughput (d/m) * (1 - LFP) over the
     feasible interval; the objective is quasi-concave in the blocklength."""
-    interval = feasible_m_interval(scenario, p, th)
+    links = linkset_single(scenario)
+    interval = _window(links, p, th)
     if interval is None:
         raise InfeasibleError("no blocklength satisfies both thresholds")
     m_lo, m_hi = interval
 
     def tau(m: int) -> float:
-        return scenario.d / m * (1.0 - _lfp_at_m(scenario, p, m))
+        return scenario.d / m * (1.0 - links.lfp(float(m), p))
 
     return golden_section_max(tau, m_lo, m_hi)
 
@@ -218,21 +194,20 @@ def solve_fixed_leakage(scenario: Scenario, delta_cap: float,
     result equals a scan of every cell."""
     if not 0.0 < delta_cap <= 0.5:
         raise ValueError(f"delta_cap must lie in (0, 0.5], got {delta_cap}")
-    eve = scenario.single_eve
+    links = linkset_single(scenario)
     p_min = p_min if p_min is not None else scenario.p_cap * 1e-6
     if not 0.0 < p_min <= scenario.p_cap:
         raise ValueError(f"p_min must lie in (0, p_cap], got {p_min}")
     ms = np.arange(1, scenario.m_cap + 1, dtype=float)
 
     def capped_eps_b(m, p):
-        eps_e = fbl_error(snr(eve, p), scenario.d, m)
-        eps_b = fbl_error(snr(scenario.bob, p), scenario.d, m)
+        eps_b, eps_e = links.eps_pair(m, p)
         return np.where((1.0 - eps_e) <= delta_cap, eps_b, np.inf)
 
     def bound(m_lo, m_hi, p_lo, p_hi):
         # the cap's slack is grid_argmin's allowance for ulp-level effects
-        leak = 1.0 - fbl_error(snr(eve, p_lo), scenario.d, m_lo)
-        eps_b = fbl_error(snr(scenario.bob, p_hi), scenario.d, m_hi)
+        leak = 1.0 - links.eps_pair(m_lo, p_lo)[1]
+        eps_b = links.eps_pair(m_hi, p_hi)[0]
         return np.where(leak > delta_cap * (1.0 + 1e-9) + 1e-15, np.inf, eps_b)
 
     best = refine_argmin(ms, p_min, scenario.p_cap, p_points, refine_rounds,
@@ -240,13 +215,18 @@ def solve_fixed_leakage(scenario: Scenario, delta_cap: float,
     if best is None:
         raise InfeasibleError("the leakage cap is violated everywhere in the box")
     _, m_star, p_star = best
-    v, _ = lfp_at(scenario, Resources(float(m_star), p_star))
-    return m_star, p_star, v
+    return m_star, p_star, float(links.lfp(float(m_star), p_star))
 
 
 # ---------------------------------------------------------------------------
 # statistical CSI
 # ---------------------------------------------------------------------------
+
+def _bob_link(scenario: Scenario) -> LinkSet:
+    """Bob's link alone: under statistical CSI the eavesdropper's gain is a
+    fade, and its instantaneous value (zero included) is never consulted."""
+    return LinkSet(scenario.d, scenario.bob, (), scenario.m_cap, scenario.p_cap)
+
 
 def _eve_mean_gain(scenario: Scenario, fading: FadingSpec) -> float:
     dist = fading.distribution
@@ -327,9 +307,8 @@ def expected_lfp(scenario: Scenario, res: Resources, fading: FadingSpec) -> floa
     """Expected LFP under statistical eavesdropper CSI.  Bob's link is treated
     as known, so the expectation acts on the leakage side alone (the LFP is
     affine in the eavesdropper's error probability)."""
-    eps_b = _eps_b_at(scenario, res.p, res.m)
-    e_eps_e = expected_eps_e(scenario, res, fading)
-    return float(lfp_from_errors(eps_b, e_eps_e))
+    eps_b = _bob_link(scenario).errors(res.m, res.p)[0]
+    return float(lfp_from_errors(eps_b, expected_eps_e(scenario, res, fading)))
 
 
 def feasible_m_interval_statistical(scenario: Scenario, p: float, th: Thresholds,
@@ -337,20 +316,8 @@ def feasible_m_interval_statistical(scenario: Scenario, p: float, th: Thresholds
                                     ) -> Optional[Tuple[int, int]]:
     """Feasible blocklengths when the leakage constraint holds in expectation
     over the eavesdropper fading."""
-    if not p > 0.0:
-        raise ValueError("power must be positive")
-    m_lo = _smallest_m_with(
-        lambda m: _eps_b_at(scenario, p, float(m)) <= th.eps_b_max, 1, scenario.m_cap
-    )
-
-    def delta_ok(m: int) -> bool:
-        e = expected_eps_e(scenario, Resources(float(m), p), fading)
-        return (1.0 - e) <= th.delta_max
-
-    m_hi = _largest_m_with(delta_ok, 1, scenario.m_cap)
-    if m_lo is None or m_hi is None or m_lo > m_hi:
-        return None
-    return m_lo, m_hi
+    return _window(_bob_link(scenario), p, th,
+                   lambda m: expected_eps_e(scenario, Resources(m, p), fading))
 
 
 def solve_blocklength_statistical(scenario: Scenario, p: float, th: Thresholds,

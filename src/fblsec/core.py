@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -107,17 +107,8 @@ class Scenario:
         return self.eves[0]
 
     def with_updates(self, **kwargs) -> "Scenario":
-        """Return a copy with the given fields replaced."""
-        fields = {
-            "d": self.d,
-            "bob": self.bob,
-            "eves": self.eves,
-            "eve_model": self.eve_model,
-            "m_cap": self.m_cap,
-            "p_cap": self.p_cap,
-        }
-        fields.update(kwargs)
-        return Scenario(**fields)
+        """Return a copy with the given fields replaced (and validated)."""
+        return replace(self, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -80,25 +80,31 @@ def scenario_from_config(cfg: dict) -> Scenario:
 
 def solver_from_config(cfg: dict) -> SolverConfig:
     sec = cfg.get("solver", {})
-    init = sec.get("init")
-    return SolverConfig(
-        mu_th=float(sec.get("mu_th", 1e-8)),
-        max_iter=int(sec.get("max_iter", 100)),
-        init=(Resources(float(init["m"]), float(init["p"])) if init else None),
-    )
+    try:
+        init = sec.get("init")
+        return SolverConfig(
+            mu_th=float(sec.get("mu_th", 1e-8)),
+            max_iter=int(sec.get("max_iter", 100)),
+            init=(Resources(float(init["m"]), float(init["p"])) if init else None),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad solver section: {exc}") from exc
 
 
 def grid_from_config(cfg: dict) -> Optional[GridSpec]:
     sec = cfg.get("oracle")
     if sec is None:
         return None
-    return GridSpec(
-        m_range=(tuple(int(v) for v in sec["m_range"])
-                 if sec.get("m_range") else None),
-        p_points=int(sec.get("p_points", 1000)),
-        refine_rounds=int(sec.get("refine_rounds", 3)),
-        p_min=(float(sec["p_min"]) if sec.get("p_min") is not None else None),
-    )
+    try:
+        return GridSpec(
+            m_range=(tuple(int(v) for v in sec["m_range"])
+                     if sec.get("m_range") else None),
+            p_points=int(sec.get("p_points", 1000)),
+            refine_rounds=int(sec.get("refine_rounds", 3)),
+            p_min=(float(sec["p_min"]) if sec.get("p_min") is not None else None),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad oracle section: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -131,14 +137,19 @@ def cmd_eval(cfg: dict) -> Tuple[List[str], List[list]]:
     least one half carry the insecure flag (they stay in the file)."""
     scenario = scenario_from_config(cfg)
     sec = cfg.get("eval", {})
-    m_lo, m_hi = sec.get("m_range", [1, scenario.m_cap])
-    p_lo, p_hi = sec.get("p_range", [scenario.p_cap * 1e-4, scenario.p_cap])
-    n_m = int(sec.get("m_points", 40))
-    n_p = int(sec.get("p_points", 40))
-    if not (1 <= m_lo <= m_hi <= scenario.m_cap) or not (0 < p_lo <= p_hi <= scenario.p_cap):
-        raise ConfigError("eval ranges must lie inside the scenario caps")
-    ms = np.unique(np.round(np.geomspace(m_lo, m_hi, n_m)).astype(int))
-    ps = np.geomspace(p_lo, p_hi, n_p)
+    try:
+        m_lo, m_hi = sec.get("m_range", [1, scenario.m_cap])
+        p_lo, p_hi = sec.get("p_range", [scenario.p_cap * 1e-4, scenario.p_cap])
+        n_m = int(sec.get("m_points", 40))
+        n_p = int(sec.get("p_points", 40))
+        if not (1 <= m_lo <= m_hi <= scenario.m_cap) or not (0 < p_lo <= p_hi <= scenario.p_cap):
+            raise ConfigError("eval ranges must lie inside the scenario caps")
+        ms = np.unique(np.round(np.geomspace(m_lo, m_hi, n_m)).astype(int))
+        ps = np.geomspace(p_lo, p_hi, n_p)
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad eval section: {exc}") from exc
     links = linkset_for(scenario)
     header = ["m", "p", "eps_b", "eps_e", "eps_lf", "flag_insecure"]
     rows = []
@@ -173,16 +184,22 @@ def cmd_solve(cfg: dict) -> Tuple[List[str], List[list]]:
 _SWEEP_VARIABLES = ("z_b", "z_e", "d", "n_eves", "p_cap", "m_cap")
 
 
+def _eve_index(scenario: Scenario, variable: str) -> Optional[int]:
+    """The eavesdropper index of a 'z_e:<index>' sweep variable, checked
+    against the scenario; None for any other variable."""
+    if not variable.startswith("z_e:"):
+        return None
+    try:
+        idx = int(variable.split(":", 1)[1])
+    except ValueError as exc:
+        raise ConfigError(f"bad eavesdropper index in {variable!r}") from exc
+    if not 0 <= idx < len(scenario.eves):
+        raise ConfigError(f"eavesdropper index {idx} out of range")
+    return idx
+
+
 def _validate_sweep_variable(scenario: Scenario, variable: str) -> None:
-    if variable in _SWEEP_VARIABLES:
-        return
-    if variable.startswith("z_e:"):
-        try:
-            idx = int(variable.split(":", 1)[1])
-        except ValueError as exc:
-            raise ConfigError(f"bad eavesdropper index in {variable!r}") from exc
-        if not 0 <= idx < len(scenario.eves):
-            raise ConfigError(f"eavesdropper index {idx} out of range")
+    if variable in _SWEEP_VARIABLES or _eve_index(scenario, variable) is not None:
         return
     raise ConfigError(
         f"unknown sweep variable {variable!r}; expected one of "
@@ -199,11 +216,9 @@ def _apply_sweep_value(scenario: Scenario, variable: str, value: float) -> Scena
         eves = tuple(ChannelSpec(float(value), e.noise_power, e.mean_gain)
                      for e in scenario.eves)
         return scenario.with_updates(eves=eves)
-    if variable.startswith("z_e:"):
-        idx = int(variable.split(":", 1)[1])
+    idx = _eve_index(scenario, variable)
+    if idx is not None:
         eves = list(scenario.eves)
-        if not 0 <= idx < len(eves):
-            raise ConfigError(f"eavesdropper index {idx} out of range")
         old = eves[idx]
         eves[idx] = ChannelSpec(float(value), old.noise_power, old.mean_gain)
         return scenario.with_updates(eves=tuple(eves))

@@ -8,11 +8,10 @@ joint-failure complement into nonnegative products before bounding each one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Sequence
 
-from .bounds import SurrogateModel
-from .core import LinkSet, Resources, Scenario, linkset_for, omega, snr
+from .bounds import LocalPoint, SurrogateModel
+from .core import LinkSet, Resources, Scenario, linkset_for
 from .solver import AllocationResult, SolverConfig, run_iteration
 
 
@@ -42,36 +41,13 @@ def lfp_passive(scenario: Scenario, res: Resources) -> float:
     return float(_passive_links(scenario).lfp(res.m, res.p))
 
 
-@dataclass(frozen=True)
-class PassiveAnchor:
-    """Anchor allocation of the passive surrogate with the per-link exponents
-    it induces."""
-
-    m_hat: float
-    p_hat: float
-    omega_b_hat: float
-    omega_e_hats: Tuple[float, ...]
-
-
-def passive_anchor(scenario: Scenario, res: Resources) -> PassiveAnchor:
-    wb = omega(snr(scenario.bob, res.p), scenario.d, res.m)
-    wes = tuple(
-        float(omega(snr(e, res.p), scenario.d, res.m)) for e in scenario.eves
-    )
-    return PassiveAnchor(res.m, res.p, float(wb), wes)
-
-
 def approx_lfp_passive(m: float, p: float, scenario: Scenario,
-                       anchor) -> float:
+                       anchor: LocalPoint) -> float:
     """Anchored surrogate of the passive-eavesdropper LFP: each telescoped
     product term is replaced by its ratio-weighted power mean with every factor
     bounded by an anchored exponential.  Upper-bounds lfp_passive everywhere
-    and matches it at the anchor.
-
-    The anchor may be a PassiveAnchor or any object with m_hat / p_hat fields
-    (a single-eavesdropper LocalPoint included); exponents are derived from
-    the anchor allocation.
-    """
+    and matches it at the anchor allocation (anchor.m_hat, anchor.p_hat), from
+    which the link exponents are derived."""
     return SurrogateModel(_passive_links(scenario), anchor.m_hat, anchor.p_hat).value(m, p)
 
 

@@ -33,7 +33,6 @@ from .core import (
 from .errors import InfeasibleError
 
 _P_FLOOR_FACTOR = 1e-12
-_M_MIN = 1.0        # smallest relaxed blocklength
 _SEED_GRID = 48     # points per axis of the inner step's coarse scan
 
 
@@ -89,7 +88,7 @@ class AllocationResult:
 # inner minimization: feasible grid seed + shrinking log-space zoom
 # ---------------------------------------------------------------------------
 
-def _resource_box(links: LinkSet, m_min: float) -> Tuple[float, float, float, float]:
+def _resource_box(links: LinkSet) -> Tuple[float, float, float, float]:
     """Box for the relaxed problem.  The blocklength cap additionally respects
     the concavity region (rate at least the threshold sweep maximum), which at
     practical packet sizes is looser than the hard cap."""
@@ -98,11 +97,10 @@ def _resource_box(links: LinkSet, m_min: float) -> Tuple[float, float, float, fl
     m_hi = float(links.m_cap)
     if thr > 0.0:
         m_hi = min(m_hi, links.d / thr)
-    m_lo = max(1.0, m_min)
-    if m_hi < m_lo:
+    if m_hi < 1.0:
         m_hi = float(links.m_cap)
     p_lo = links.p_cap * _P_FLOOR_FACTOR
-    return m_lo, m_hi, p_lo, links.p_cap
+    return 1.0, m_hi, p_lo, links.p_cap
 
 
 def _masked_values(model: SurrogateModel, ms: np.ndarray, ps: np.ndarray):
@@ -114,7 +112,7 @@ def _masked_values(model: SurrogateModel, ms: np.ndarray, ps: np.ndarray):
     return np.where(np.isfinite(vals), vals, np.inf)
 
 
-def minimize_surrogate(model: SurrogateModel, box, cfg: SolverConfig):
+def minimize_surrogate(model: SurrogateModel, box):
     """Minimize the surrogate over the box subject to the exponent floors.
 
     The surrogate's valley is long and nearly flat, so a coarse feasible scan
@@ -177,7 +175,7 @@ def default_init(links: LinkSet, box) -> Tuple[float, float]:
 def run_iteration(links: LinkSet, cfg: SolverConfig) -> AllocationResult:
     """Algorithm core shared by the single-, super-, and passive-eavesdropper
     solvers."""
-    box = _resource_box(links, _M_MIN)
+    box = _resource_box(links)
     m_lo, m_hi, p_lo, p_hi = box
     if cfg.init is not None:
         m0, p0 = float(cfg.init.m), float(cfg.init.p)
@@ -194,7 +192,7 @@ def run_iteration(links: LinkSet, cfg: SolverConfig) -> AllocationResult:
 
     for k in range(1, cfg.max_iter + 1):
         model = SurrogateModel(links, m_k, p_k)
-        m_next, p_next, f_hat = minimize_surrogate(model, box, cfg)
+        m_next, p_next, f_hat = minimize_surrogate(model, box)
         eps_next = float(links.lfp(m_next, p_next))
         if eps_next > eps_prev:
             # numerically no descent available: stay at the anchor and stop
@@ -246,14 +244,12 @@ def solve_joint(scenario: Scenario, cfg: SolverConfig | None = None) -> Allocati
     return run_iteration(links, cfg)
 
 
-def inner_minimize(scenario: Scenario, lp, cfg: SolverConfig | None = None):
+def inner_minimize(scenario: Scenario, lp):
     """One inner solve: minimize the surrogate anchored at the given local
     point over the resource box.  Returns (m_opt, p_opt)."""
-    cfg = cfg or SolverConfig()
     links = linkset_single(scenario)
     model = SurrogateModel(links, lp.m_hat, lp.p_hat)
-    box = _resource_box(links, _M_MIN)
-    m_opt, p_opt, _val = minimize_surrogate(model, box, cfg)
+    m_opt, p_opt, _val = minimize_surrogate(model, _resource_box(links))
     return m_opt, p_opt
 
 

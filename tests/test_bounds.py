@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fblsec.bounds import (
+    SurrogateModel,
     am_gm_upper,
     approx_lfp,
     build_composite_terms,
@@ -13,8 +14,15 @@ from fblsec.bounds import (
     one_minus_q_upper,
     q_upper,
 )
-from fblsec.core import Resources, lfp_at, q
+from fblsec.core import Resources, lfp_at, linkset_single, q
 from fblsec.errors import DegenerateLocalPointError
+
+
+def _anchor_terms(scenario, lp):
+    """Composite terms anchored at a local point, built from the exponents
+    the link kernel gives there."""
+    w_b, w_e = SurrogateModel(linkset_single(scenario), lp.m_hat, lp.p_hat).omega_hats
+    return build_composite_terms(w_b, [w_e])
 
 # hazard rate phi/Q at +6, frozen from a 50-digit oracle
 HAZARD_AT_6 = 6.158482604544598917278
@@ -136,10 +144,8 @@ def test_approx_lfp_dominates(default_scenario, rng):
 def test_surrogate_convex_in_exponent_space(default_scenario, rng):
     """As a function of the two decoding exponents the surrogate is a sum of
     convex exponential compositions: midpoints never beat chord averages."""
-    from fblsec.bounds import build_composite_terms, composite_value
-
     lp = local_point(default_scenario, Resources(m=320.0, p=0.1))
-    terms = build_composite_terms(lp.omega_b_hat, [lp.omega_e_hat])
+    terms = _anchor_terms(default_scenario, lp)
     for _ in range(2000):
         wb1, wb2 = rng.uniform(-2.0, 10.0, size=2)
         we1, we2 = rng.uniform(-6.0, 4.0, size=2)
@@ -157,13 +163,12 @@ def test_reliability_term_convex_in_resources(default_scenario, rng):
     clears the concavity threshold.  (The full surrogate is not: its leakage
     term rises with the eavesdropper exponent, and the exact Hessian picks up
     a small negative eigenvalue along the valley.)"""
-    from fblsec.bounds import build_composite_terms, composite_value
     from fblsec.core import omega, snr
     from fblsec.convexity import rate_threshold_sweep_max
 
     sc = default_scenario
     lp = local_point(sc, Resources(m=320.0, p=0.1))
-    terms = build_composite_terms(lp.omega_b_hat, [lp.omega_e_hat])
+    terms = _anchor_terms(sc, lp)
     reliability = [terms[0]]
     thr = rate_threshold_sweep_max(150.0)
     m_cap = sc.d / thr
@@ -187,8 +192,7 @@ def test_reliability_term_convex_in_resources(default_scenario, rng):
 
 def test_approx_lfp_rejects_degenerate_local_point(default_scenario):
     lp = local_point(default_scenario, Resources(m=320.0, p=0.1))
-    bad = type(lp)(lp.m_hat, lp.p_hat, 0.0, lp.eps_e_hat,
-                   lp.omega_b_hat, lp.omega_e_hat)
+    bad = type(lp)(lp.m_hat, lp.p_hat, 0.0, lp.eps_e_hat)
     with pytest.raises(DegenerateLocalPointError):
         approx_lfp(300.0, 0.1, default_scenario, bad)
 
@@ -206,7 +210,7 @@ def test_composite_terms_reduce_to_pair_formula(default_scenario):
     plus the leakage bound, written with the anchored ratio weights."""
     res = Resources(m=400.0, p=0.08)
     lp = local_point(default_scenario, res)
-    terms = build_composite_terms(lp.omega_b_hat, [lp.omega_e_hat])
+    terms = _anchor_terms(default_scenario, lp)
     assert len(terms) == 2
     assert len(terms[0].factors) == 2
     assert len(terms[1].factors) == 1

@@ -152,6 +152,17 @@ def test_missing_scenario_exits_2(tmp_path):
     assert main(["solve", "--config", path]) == 2
 
 
+@pytest.mark.parametrize("command,section", [
+    ("oracle", {"oracle": {"p_points": 0}}),
+    ("eval", {"eval": {"m_points": "many"}}),
+    ("solve", {"solver": {"mu_th": "x"}}),
+])
+def test_malformed_section_exits_2(tmp_path, capsys, command, section):
+    path = write_config(tmp_path, base_config(**section))
+    assert main([command, "--config", path]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_unknown_sweep_variable_exits_2(tmp_path):
     cfg = base_config(sweep={"variable": "nonsense", "values": [1.0],
                              "mode": "joint"})

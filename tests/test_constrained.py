@@ -355,6 +355,18 @@ def test_statistical_point_mass_reduces_to_deterministic():
     assert v_stat == pytest.approx(v_det, rel=1e-12)
 
 
+def test_statistical_search_ignores_instantaneous_eve_gain():
+    """Under statistical CSI only the eavesdropper's mean gain is consulted,
+    so a zero instantaneous gain gives the same window and optimum."""
+    fad = FadingSpec(ExponentialGain(), GaussQuadrature(64))
+    known = make_scenario(**STAT_SCENARIO)
+    unknown = make_scenario(z_e=0.0, **STAT_SCENARIO)
+    assert (feasible_m_interval_statistical(unknown, STAT_P, STAT_TH, fad)
+            == feasible_m_interval_statistical(known, STAT_P, STAT_TH, fad))
+    assert (solve_blocklength_statistical(unknown, STAT_P, STAT_TH, fad)
+            == solve_blocklength_statistical(known, STAT_P, STAT_TH, fad))
+
+
 def test_statistical_estimator_choice_stable():
     sc = make_scenario(**STAT_SCENARIO)
     fad_q = FadingSpec(ExponentialGain(), GaussQuadrature(64))

@@ -11,7 +11,6 @@ from fblsec.multi_eve import (
     approx_lfp_passive,
     linkset_for,
     lfp_passive,
-    passive_anchor,
     scenario_lfp,
     solve_multi,
     telescope_leakage,
@@ -127,15 +126,31 @@ def test_lfp_evaluators_and_surrogates_agree(gains, model, tmp_path):
         if single is not None:
             assert approx_lfp(m, p, single, local_point(single, anchor)) == value
         if model is EveModel.PASSIVE:
-            assert approx_lfp_passive(m, p, sc, passive_anchor(sc, anchor)) == value
+            assert approx_lfp_passive(m, p, sc, local_point(sc, anchor)) == value
 
 
 def test_approx_passive_tight_at_anchor():
     sc = make_scenario(eve_gains=[1.0, 0.8, 0.6])
     res = Resources(m=350.0, p=0.08)
-    anchor = passive_anchor(sc, res)
+    anchor = local_point(sc, res)
     assert approx_lfp_passive(res.m, res.p, sc, anchor) == pytest.approx(
         lfp_passive(sc, res), abs=1e-9
+    )
+
+
+@pytest.mark.parametrize("m,p", [(350.0, 0.08), (3000.0, 10.0)])
+def test_local_point_anchors_passive_surrogate(m, p):
+    """local_point anchors a 3-eavesdropper passive scenario: eps_e_hat is
+    the product of the eavesdroppers' errors floored at 1e-300 (the second
+    anchor's product underflows), and the passive surrogate is tight there."""
+    from fblsec.core import fbl_error, snr
+
+    sc = make_scenario(eve_gains=[1.0, 0.8, 0.6])
+    lp = local_point(sc, Resources(m, p))
+    errors = [fbl_error(snr(e, p), sc.d, m) for e in sc.eves]
+    assert lp.eps_e_hat == pytest.approx(max(float(np.prod(errors)), 1e-300), rel=1e-12)
+    assert approx_lfp_passive(m, p, sc, lp) == pytest.approx(
+        lfp_passive(sc, Resources(m, p)), abs=1e-9
     )
 
 
@@ -144,16 +159,15 @@ def test_approx_passive_reduces_to_single_eve_surrogate(default_scenario):
 
     res = Resources(m=320.0, p=0.1)
     lp = local_point(default_scenario, res)
-    anchor = passive_anchor(default_scenario, res)
     for m, p in [(280.0, 0.12), (500.0, 0.06), (320.0, 0.1)]:
-        assert approx_lfp_passive(m, p, default_scenario, anchor) == pytest.approx(
+        assert approx_lfp_passive(m, p, default_scenario, lp) == pytest.approx(
             approx_lfp(m, p, default_scenario, lp), rel=1e-12
         )
 
 
 def test_approx_passive_dominates(rng):
     sc = make_scenario(eve_gains=[1.0, 0.7])
-    anchor = passive_anchor(sc, Resources(m=320.0, p=0.1))
+    anchor = local_point(sc, Resources(m=320.0, p=0.1))
     for _ in range(1000):
         m = rng.uniform(60.0, 3000.0)
         p = rng.uniform(1e-3, 10.0)

@@ -73,8 +73,8 @@ def test_inner_minimize_beats_anchor_and_respects_bounds(default_scenario):
     lp = local_point(sc, Resources(m=320.0, p=0.1))
     links = linkset_single(sc)
     model = SurrogateModel(links, lp.m_hat, lp.p_hat)
-    box = _resource_box(links, 1.0)
-    m_opt, p_opt, val = minimize_surrogate(model, box, SolverConfig())
+    box = _resource_box(links)
+    m_opt, p_opt, val = minimize_surrogate(model, box)
     assert box[0] <= m_opt <= box[1]
     assert box[2] <= p_opt <= box[3]
     assert val <= model.anchor_value
@@ -90,8 +90,8 @@ def test_inner_minimize_matches_dense_grid(default_scenario):
     lp = local_point(sc, Resources(m=320.0, p=0.1))
     links = linkset_single(sc)
     model = SurrogateModel(links, lp.m_hat, lp.p_hat)
-    box = _resource_box(links, 1.0)
-    _, _, val = minimize_surrogate(model, box, SolverConfig())
+    box = _resource_box(links)
+    _, _, val = minimize_surrogate(model, box)
     ms = np.linspace(box[0], box[1], 400)[:, None]
     ps = np.geomspace(max(box[2], box[3] * 1e-8), box[3], 400)[None, :]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -196,7 +196,7 @@ def test_symmetric_channels_no_secrecy(rng):
 
 def test_default_init_is_feasible_and_balanced(default_scenario):
     links = linkset_single(default_scenario)
-    box = _resource_box(links, 1.0)
+    box = _resource_box(links)
     m0, p0 = default_init(links, box)
     assert box[0] <= m0 <= box[1]
     assert box[2] < p0 <= box[3]
