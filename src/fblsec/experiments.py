@@ -56,11 +56,24 @@ def _channel_from(obj: dict, what: str) -> ChannelSpec:
         raise ConfigError(f"bad {what} channel spec: {exc}") from exc
 
 
+def _section(cfg, name: str, default=None):
+    """cfg[name], or default when it is absent or null; ConfigError unless
+    cfg and the section are JSON objects.  Every section is read through
+    here."""
+    if not isinstance(cfg, dict):
+        raise ConfigError("the config must be a JSON object")
+    sec = cfg.get(name)
+    if sec is None:
+        return default
+    if not isinstance(sec, dict):
+        raise ConfigError(f"the {name!r} section must be a JSON object")
+    return sec
+
+
 def scenario_from_config(cfg: dict) -> Scenario:
-    try:
-        sec = cfg["scenario"]
-    except KeyError as exc:
-        raise ConfigError("config is missing the 'scenario' section") from exc
+    sec = _section(cfg, "scenario")
+    if sec is None:
+        raise ConfigError("config is missing the 'scenario' section")
     try:
         eves = tuple(_channel_from(e, "eavesdropper") for e in sec["eves"])
         model = EveModel(sec.get("eve_model", "passive"))
@@ -79,7 +92,7 @@ def scenario_from_config(cfg: dict) -> Scenario:
 
 
 def solver_from_config(cfg: dict) -> SolverConfig:
-    sec = cfg.get("solver", {})
+    sec = _section(cfg, "solver", {})
     try:
         init = sec.get("init")
         return SolverConfig(
@@ -92,7 +105,7 @@ def solver_from_config(cfg: dict) -> SolverConfig:
 
 
 def grid_from_config(cfg: dict) -> Optional[GridSpec]:
-    sec = cfg.get("oracle")
+    sec = _section(cfg, "oracle")
     if sec is None:
         return None
     try:
@@ -136,7 +149,7 @@ def cmd_eval(cfg: dict) -> Tuple[List[str], List[list]]:
     """LFP surface over a blocklength/power grid; rows where the value is at
     least one half carry the insecure flag (they stay in the file)."""
     scenario = scenario_from_config(cfg)
-    sec = cfg.get("eval", {})
+    sec = _section(cfg, "eval", {})
     try:
         m_lo, m_hi = sec.get("m_range", [1, scenario.m_cap])
         p_lo, p_hi = sec.get("p_range", [scenario.p_cap * 1e-4, scenario.p_cap])
@@ -260,14 +273,18 @@ def _sweep_point(scenario: Scenario, sweep: dict, solver_cfg: SolverConfig,
     else:
         raise ConfigError(f"unknown sweep mode {mode!r}")
 
-    baseline = sweep.get("baseline")
-    if baseline and "fixed_leakage" in baseline:
-        cap = float(baseline["fixed_leakage"].get("delta_cap", 1e-3))
+    fixed = _fixed_leakage_section(sweep)
+    if fixed is not None:
+        cap = float(fixed.get("delta_cap", 1e-3))
         m_fx, p_fx, v_fx = solve_fixed_leakage(
-            sc, cap, p_points=int(baseline["fixed_leakage"].get("p_points", 300)),
-            refine_rounds=int(baseline["fixed_leakage"].get("refine_rounds", 2)))
+            sc, cap, p_points=int(fixed.get("p_points", 300)),
+            refine_rounds=int(fixed.get("refine_rounds", 2)))
         rows.append([float(value), "fixed_leakage", m_fx, p_fx, v_fx, None])
     return rows
+
+
+def _fixed_leakage_section(sweep: dict) -> Optional[dict]:
+    return _section(_section(sweep, "baseline", {}), "fixed_leakage")
 
 
 def _thresholds_from(sweep: dict) -> Thresholds:
@@ -286,8 +303,8 @@ def cmd_sweep(cfg: dict, threads: int = 1) -> Tuple[List[str], List[list]]:
     before any output is produced."""
     scenario = scenario_from_config(cfg)
     solver_cfg = solver_from_config(cfg)
+    sweep = _section(cfg, "sweep", {})
     try:
-        sweep = cfg["sweep"]
         variable = sweep["variable"]
         values = [float(v) for v in sweep["values"]]
     except (KeyError, TypeError, ValueError) as exc:
@@ -295,6 +312,9 @@ def cmd_sweep(cfg: dict, threads: int = 1) -> Tuple[List[str], List[list]]:
     if not values:
         raise ConfigError("sweep values must be non-empty")
     _validate_sweep_variable(scenario, variable)
+    # checked before the points run, where a ConfigError becomes an error row
+    _fixed_leakage_section(sweep)
+    trend = _section(sweep, "trend")
 
     def run_one(value: float):
         try:
@@ -314,7 +334,6 @@ def cmd_sweep(cfg: dict, threads: int = 1) -> Tuple[List[str], List[list]]:
             print(f"fblsec sweep: value {format_cell(value)}: "
                   f"{type(exc).__name__}: {exc}", file=sys.stderr)
 
-    trend = sweep.get("trend")
     if trend:
         _assert_trend(rows, trend, sweep.get("mode", "joint"))
     header = ["value", "source", "m", "p", "eps_lf", "tau_lf"]

@@ -5,7 +5,8 @@ claim is validated against.
 
 The grid searches here and in the fixed-leakage baseline share refine_argmin,
 a power-zoom loop around grid_argmin, a branch-and-bound scanner that
-returns the same minimizer as evaluating every cell.
+returns the same minimizer as evaluating every cell.  The solver's default
+start is one coarse pass of the same LFP scan as exhaustive_min_lfp.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .core import Scenario, lfp_from_errors, linkset_for
+from .core import LinkSet, Scenario, lfp_from_errors, linkset_for
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _TILE_M = 64
@@ -134,14 +135,22 @@ def exhaustive_min_lfp(scenario: Scenario, grid: GridSpec | None = None
     if not 0.0 < p_min <= scenario.p_cap:
         raise ValueError(f"p_min must lie in (0, p_cap], got {p_min}")
     ms = np.arange(m_lo, m_hi + 1, dtype=float)
+    best = _lfp_argmin(links, ms, p_min, grid.p_points, grid.refine_rounds)
+    return best[1], best[2], best[0]
+
+
+def _lfp_argmin(links: LinkSet, ms, p_min: float, p_points: int,
+                refine_rounds: int) -> Optional[Tuple[float, int, float]]:
+    """refine_argmin of links.lfp over the blocklengths ms and powers on
+    [p_min, links.p_cap], pruned by the tile bound
+    1 - (1 - eps_b(m_hi, p_hi)) * prod eps_e(m_lo, p_lo)."""
 
     def bound(tm_lo, tm_hi, tp_lo, tp_hi):
         return lfp_from_errors(links.eps_pair(tm_hi, tp_hi)[0],
                                links.eps_pair(tm_lo, tp_lo)[1])
 
-    best = refine_argmin(ms, p_min, scenario.p_cap, grid.p_points,
-                         grid.refine_rounds, links.lfp, bound)
-    return best[1], best[2], best[0]
+    return refine_argmin(ms, p_min, links.p_cap, p_points, refine_rounds,
+                         links.lfp, bound)
 
 
 def golden_section_max(f: Callable[[int], float], lo: int, hi: int

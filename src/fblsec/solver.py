@@ -5,10 +5,13 @@ at the minimizer.
 
 The achieved LFP is non-increasing across rounds because each surrogate
 dominates the true objective and touches it at the anchor; the inner step only
-has to not increase the surrogate.  The inner minimizer is a coarse feasible
-log-grid scan followed by shrinking log-space zooms around the incumbent; a
-scan needs no convexity, so it stays reliable where the surrogate's leakage
-term bends the valley (it is not globally convex).
+has to not increase the surrogate.  Since the iteration only descends, the
+default start is the minimizer of the actual LFP over a coarse grid, found by
+the oracle's pruned scan, so the descent starts in the global minimum's basin.
+The inner minimizer is a coarse feasible log-grid scan followed by shrinking
+log-space zooms around the incumbent; a scan needs no convexity, so it stays
+reliable where the surrogate's leakage term bends the valley (it is not
+globally convex).
 """
 
 from __future__ import annotations
@@ -31,9 +34,11 @@ from .core import (
     q,  # noqa: F401  kept bound here: perfbench's tracer tests patch it in solver
 )
 from .errors import InfeasibleError
+from .oracle import _lfp_argmin
 
 _P_FLOOR_FACTOR = 1e-12
 _SEED_GRID = 48     # points per axis of the inner step's coarse scan
+_START_P_POINTS = 64  # powers of the default start's coarse LFP scan
 
 
 # ---------------------------------------------------------------------------
@@ -44,11 +49,8 @@ _SEED_GRID = 48     # points per axis of the inner step's coarse scan
 class SolverConfig:
     """Knobs of the iterative solver.
 
-    init = None selects the documented default start: m0 = packet size and the
-    power at which the strongest eavesdropper's capacity equals the start rate
-    (leakage one half), which keeps every surrogate term responsive.  A start
-    at saturated SNR (for example p_cap / 2 at the reference caps) flattens
-    the leakage bound to machine precision and strands the iteration.
+    init = None selects the documented default start (default_init): the
+    minimizer of the actual LFP over a coarse grid of the resource box.
     """
 
     mu_th: float = 1e-8
@@ -161,15 +163,15 @@ def minimize_surrogate(model: SurrogateModel, box):
 # ---------------------------------------------------------------------------
 
 def default_init(links: LinkSet, box) -> Tuple[float, float]:
-    """Documented default start: blocklength equal to the packet size and the
-    power putting the strongest eavesdropper at capacity-equals-rate (leakage
-    one half), clipped into the box."""
-    m_lo, m_hi, p_lo, p_hi = box
-    m0 = min(max(float(links.d), m_lo), m_hi)
-    k_eve = float(np.max(links.k[1:]))
-    p_knee = (2.0 ** (links.d / m0) - 1.0) / k_eve
-    p0 = min(max(p_knee, p_lo * 10.0), p_hi)
-    return m0, p0
+    """Documented default start: the minimizer of the actual LFP over every
+    integer blocklength in [1, m_hi] of the box times _START_P_POINTS
+    geometric powers on [1e-4 * p_cap, p_cap], found by the oracle's pruned
+    scan (ties to the smallest (m, p)).  The iteration only descends from
+    its start, so starting at the coarse global minimum puts it in the
+    right basin."""
+    ms = np.arange(1.0, math.floor(box[1]) + 1.0)
+    _, m0, p0 = _lfp_argmin(links, ms, links.p_cap * 1e-4, _START_P_POINTS, 0)
+    return float(m0), p0
 
 
 def run_iteration(links: LinkSet, cfg: SolverConfig) -> AllocationResult:

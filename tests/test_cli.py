@@ -156,9 +156,16 @@ def test_missing_scenario_exits_2(tmp_path):
     ("oracle", {"oracle": {"p_points": 0}}),
     ("eval", {"eval": {"m_points": "many"}}),
     ("solve", {"solver": {"mu_th": "x"}}),
+    ("solve", {"solver": "x"}),
+    ("eval", {"eval": [1]}),
+    ("oracle", {"oracle": [1]}),
+    ("sweep", {"sweep": {"variable": "z_b", "values": [2.0], "mode": "joint",
+                         "baseline": 7}}),
+    ("solve", None),
 ])
 def test_malformed_section_exits_2(tmp_path, capsys, command, section):
-    path = write_config(tmp_path, base_config(**section))
+    cfg = [1, 2] if section is None else base_config(**section)
+    path = write_config(tmp_path, cfg)
     assert main([command, "--config", path]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 

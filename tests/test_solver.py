@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fblsec.bounds import local_point
-from fblsec.core import EveModel, Resources, lfp_at
+from fblsec.core import EveModel, Resources, lfp_at, linkset_for
 from fblsec.errors import InfeasibleError
 from fblsec.multi_eve import solve_multi
 from fblsec.solver import (
@@ -170,10 +170,18 @@ def test_stronger_bob_variant_matches_oracle():
     dict(z_b=2.1, d=316),
     pytest.param(dict(z_b=2.49, d=320, eve_gains=(0.79, 0.91),
                       eve_model=EveModel.SUPER), id="colluding-pair"),
+    dict(z_b=3.0),
+    dict(z_b=2.0, eve_gains=(1.0, 0.5)),
+    dict(z_b=2.0, eve_gains=(1.0, 0.5, 0.8)),
+    dict(z_b=1.5, eve_gains=(1.0, 0.5, 0.8)),
+    dict(z_b=2.5, eve_gains=(1.0, 0.5, 0.8, 0.6)),
+    pytest.param(dict(z_b=2.0, eve_gains=(1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3)),
+                 id="eight-passive"),
 ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
 def test_solver_matches_oracle_across_regimes(kwargs):
-    """Single-eavesdropper corners and interior points, plus a colluding pair,
-    land within 1e-3 relative of the exhaustive benchmark."""
+    """Single-eavesdropper corners and interior points, a colluding pair and
+    passive sets of 2 to 8 eavesdroppers land within 1e-3 relative of the
+    exhaustive benchmark."""
     from fblsec.oracle import GridSpec, exhaustive_min_lfp
 
     sc = make_scenario(**kwargs)
@@ -194,12 +202,23 @@ def test_symmetric_channels_no_secrecy(rng):
     assert np.all(np.diff(values) <= 1e-12)
 
 
-def test_default_init_is_feasible_and_balanced(default_scenario):
-    links = linkset_single(default_scenario)
+@pytest.mark.parametrize("kwargs", [
+    dict(),
+    dict(z_b=3.0, d=100, m_cap=150),    # the minimum sits at the box's m cap
+    dict(z_b=2.0, eve_gains=(1.0, 0.5, 0.8)),
+], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()) or "reference")
+def test_default_init_is_the_coarse_grid_minimum(kwargs):
+    """The default start lies in the box and is the minimizer of the actual
+    LFP over every integer blocklength up to the box's cap times 64 geometric
+    powers on [1e-4 p_cap, p_cap], ties to the smallest (m, p)."""
+    links = linkset_for(make_scenario(**kwargs))
     box = _resource_box(links)
     m0, p0 = default_init(links, box)
     assert box[0] <= m0 <= box[1]
     assert box[2] < p0 <= box[3]
-    # the strongest eavesdropper sits at the capacity-equals-rate knee
-    w_e = links.omega_link(1, m0, p0)
-    assert abs(w_e) < 1e-6
+    ms = np.arange(1, int(np.floor(box[1])) + 1, dtype=float)
+    ps = np.geomspace(links.p_cap * 1e-4, links.p_cap, 64)
+    vals = links.lfp(ms[:, None], ps[None, :])
+    i, j = np.unravel_index(int(np.argmin(vals)), vals.shape)
+    assert (m0, p0) == (ms[i], ps[j])
+    assert links.lfp(m0, p0) == vals[i, j]
