@@ -82,17 +82,16 @@ def main(argv=None) -> int:
         print(f"trend violation: {exc}", file=sys.stderr)
         return EXIT_TREND
 
-    text = rows_to_csv(header, rows)
     out_path = args.out or cfg.get("output")
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+                rows_to_csv(header, rows, fh)
         except OSError as exc:
             print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
             return EXIT_INFEASIBLE
     else:
-        sys.stdout.write(text)
+        rows_to_csv(header, rows, sys.stdout)
     return EXIT_OK
 
 

@@ -54,6 +54,10 @@ class ExponentialGain:
 
     mean: Optional[float] = None
 
+    def __post_init__(self):
+        if self.mean is not None and not (math.isfinite(self.mean) and self.mean > 0.0):
+            raise ValueError(f"mean gain must be finite and > 0, got {self.mean}")
+
 
 @dataclass(frozen=True)
 class PointMassGain:
@@ -61,6 +65,10 @@ class PointMassGain:
     value = None defers to the channel's mean_gain."""
 
     value: Optional[float] = None
+
+    def __post_init__(self):
+        if self.value is not None and not (math.isfinite(self.value) and self.value >= 0.0):
+            raise ValueError(f"point-mass gain must be finite and >= 0, got {self.value}")
 
 
 @dataclass(frozen=True)
@@ -72,8 +80,8 @@ class MonteCarlo:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError("samples must be at least 1")
+        if not (isinstance(self.samples, (int, np.integer)) and self.samples >= 1):
+            raise ValueError(f"samples must be an integer >= 1, got {self.samples!r}")
         if self.seed is None:
             raise ValueError("a Monte Carlo seed is required for reproducibility")
 
@@ -86,8 +94,9 @@ class GaussQuadrature:
     nodes: int = 64
 
     def __post_init__(self):
-        if self.nodes < 2:
-            raise ValueError("at least two quadrature nodes are required")
+        if not (isinstance(self.nodes, (int, np.integer)) and self.nodes >= 2):
+            raise ValueError(
+                f"at least two quadrature nodes are required, as an integer; got {self.nodes!r}")
 
 
 @dataclass(frozen=True)
@@ -264,9 +273,12 @@ def expected_eps_e(scenario: Scenario, res: Resources, fading: FadingSpec) -> fl
     The quadrature estimator integrates Gauss-Legendre panels split at the
     decode transition (where the error swings between its extremes), with the
     exponential density folded in explicitly; this stays accurate even when
-    the transition lies many mean-gains into the tail."""
+    the transition lies many mean-gains into the tail.  At zero power every
+    gain draw fails to decode, so the expectation is its zero-SNR limit, 1."""
     eve = scenario.single_eve
     xi = _eve_mean_gain(scenario, fading)
+    if res.p == 0.0:
+        return 1.0
     dist = fading.distribution
     est = fading.estimator
 

@@ -5,7 +5,9 @@ trend assertions, and deterministic CSV emission.
 CSV columns come from a frozen vocabulary (m, p, eps_b, eps_e, eps_lf, tau_lf,
 flag_insecure, source, plus value / k / eps_lf_hat for sweeps and traces).
 Floats are written with 17 significant digits and rows are fully ordered, so a
-config and seed reproduce byte-identical files.
+config and seed reproduce byte-identical files.  One writer, rows_to_csv,
+serves every command: it formats each row with one cached %-format per tuple
+of cell types and streams the lines to its output.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
@@ -124,28 +126,54 @@ def grid_from_config(cfg: dict) -> Optional[GridSpec]:
 # CSV helpers
 # ---------------------------------------------------------------------------
 
-def format_cell(x) -> str:
-    if x is None:
+def _cell_format(cls) -> str:
+    """The %-format of one cell type: empty for None, the text as is for str,
+    a decimal for int, np.integer and bool, and 17 significant digits for
+    anything else (converted through float)."""
+    if cls is type(None):
         return ""
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
+    if issubclass(cls, str):
+        return "%s"
+    if issubclass(cls, (int, np.integer)):
+        return "%d"
+    return "%.17g"
 
 
-def rows_to_csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    lines = [",".join(header)]
+def format_cell(x) -> str:
+    fmt = _cell_format(type(x))
+    return fmt % x if fmt else ""
+
+
+def _row_format(shape: tuple) -> Tuple[str, bool]:
+    """The line format of one row shape (its tuple of cell types), and
+    whether the shape has None cells."""
+    cells = [_cell_format(cls) for cls in shape]
+    return ",".join(cells) + "\n", "" in cells
+
+
+def rows_to_csv(header: Sequence[str], rows: Iterable[Sequence], out: TextIO) -> None:
+    """Stream the header and the rows to the text stream out, one line each.
+    Every row is formatted by one cached %-format per row shape; None cells
+    are dropped from the row and left empty in the format."""
+    out.write(",".join(header) + "\n")
+    write = out.write
+    formats: Dict[tuple, Tuple[str, bool]] = {}
     for row in rows:
-        lines.append(",".join(format_cell(c) for c in row))
-    return "\n".join(lines) + "\n"
+        shape = tuple(map(type, row))
+        try:
+            fmt, has_none = formats[shape]
+        except KeyError:
+            fmt, has_none = formats[shape] = _row_format(shape)
+        if has_none:
+            row = [c for c in row if c is not None]
+        write(fmt % tuple(row))
 
 
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_eval(cfg: dict) -> Tuple[List[str], List[list]]:
+def cmd_eval(cfg: dict) -> Tuple[List[str], Iterable[tuple]]:
     """LFP surface over a blocklength/power grid; rows where the value is at
     least one half carry the insecure flag (they stay in the file)."""
     scenario = scenario_from_config(cfg)
@@ -164,14 +192,12 @@ def cmd_eval(cfg: dict) -> Tuple[List[str], List[list]]:
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad eval section: {exc}") from exc
     links = linkset_for(scenario)
+    eps_b, eps_e = links.eps_pair(ms[:, None], ps)
+    eps_lf = lfp_from_errors(eps_b, eps_e)
     header = ["m", "p", "eps_b", "eps_e", "eps_lf", "flag_insecure"]
-    rows = []
-    for m in ms:
-        eps_b, eps_e = links.eps_pair(float(m), ps)
-        eps_lf = lfp_from_errors(eps_b, eps_e)
-        for j, p in enumerate(ps):
-            rows.append([int(m), float(p), float(eps_b[j]), float(eps_e[j]),
-                         float(eps_lf[j]), int(eps_lf[j] >= 0.5)])
+    rows = zip(np.repeat(ms, len(ps)).tolist(), np.tile(ps, len(ms)).tolist(),
+               eps_b.ravel().tolist(), eps_e.ravel().tolist(),
+               eps_lf.ravel().tolist(), (eps_lf >= 0.5).ravel().tolist())
     return header, rows
 
 

@@ -1,10 +1,15 @@
+import io
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from fblsec.cli import main
+from fblsec.core import lfp_from_errors, linkset_for
+from fblsec.experiments import rows_to_csv, scenario_from_config
 
 
 def base_config(**overrides):
@@ -225,3 +230,89 @@ def test_console_entry_point_runs(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("m,p,eps_b,eps_e,eps_lf,flag_insecure")
+
+
+def _reference_cell(x):
+    """The per-cell rule of the original writer."""
+    if x is None:
+        return ""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return format(float(x), ".17g")
+
+
+def _reference_csv(header, rows):
+    lines = [",".join(header)]
+    lines += [",".join(_reference_cell(c) for c in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _written(header, rows):
+    buf = io.StringIO()
+    rows_to_csv(header, rows, buf)
+    return buf.getvalue()
+
+
+def test_writer_matches_the_per_cell_rule():
+    specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e-300,
+                np.float64(0.1), np.float32(0.1), np.float64(-1e300), 1.0 / 3.0]
+    rows = [
+        [None, "joint", True, False, np.int64(-7), 3],
+        ["error", None, None, None, None, None],
+        (np.int64(2**62), np.float32(3.5), np.float64(math.nan), "x", None),
+        list(specials),
+        [np.bool_(True), np.int32(5), np.uint8(200), 10**20, -0.0],
+        [],
+        ["a%sb%dc", "%", None],
+    ]
+    rng = np.random.default_rng(8)
+    draws = rng.standard_normal(600) * 10.0 ** rng.integers(-320, 300, 600)
+    rows += [list(chunk) for chunk in draws.reshape(100, 6)]
+    rows += [chunk.tolist() for chunk in draws.reshape(100, 6)]
+    rows += [[int(k), float(x), None] for k, x in zip(range(-50, 50), draws)]
+    header = ["a", "b", "c"]
+    assert _written(header, rows) == _reference_csv(header, rows)
+    # a second pass reuses the cached row formats
+    assert _written(header, rows) == _reference_csv(header, rows)
+
+
+def test_eval_csv_equals_row_by_row_reference(tmp_path):
+    cfg = base_config(eval={"m_points": 12, "p_points": 9,
+                            "m_range": [20, 2500], "p_range": [1e-4, 10.0]})
+    out = tmp_path / "surface.csv"
+    assert main(["eval", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 0
+    links = linkset_for(scenario_from_config(cfg))
+    ms = np.unique(np.round(np.geomspace(20, 2500, 12)).astype(int))
+    ps = np.geomspace(1e-4, 10.0, 9)
+    rows = []
+    for m in ms:
+        eps_b, eps_e = links.eps_pair(float(m), ps)
+        eps_lf = lfp_from_errors(eps_b, eps_e)
+        for j, p in enumerate(ps):
+            rows.append([int(m), float(p), float(eps_b[j]), float(eps_e[j]),
+                         float(eps_lf[j]), int(eps_lf[j] >= 0.5)])
+    header = ["m", "p", "eps_b", "eps_e", "eps_lf", "flag_insecure"]
+    assert out.read_text() == _reference_csv(header, rows)
+    assert any(r[5] for r in rows) and not all(r[5] for r in rows)
+
+
+@pytest.mark.parametrize("command, section", [
+    ("eval", {"eval": {"m_points": 7, "p_points": 5}}),
+    ("solve", {"oracle": {"p_points": 50, "refine_rounds": 1}}),
+    ("sweep", {"sweep": {"variable": "z_b", "values": [1.0, 4.0],
+                         "mode": "blocklength", "power": 0.1,
+                         "thresholds": {"delta_max": 1e-3, "eps_b_max": 1e-3}}}),
+    ("oracle", {"oracle": {"p_points": 50, "refine_rounds": 1}}),
+])
+def test_stdout_equals_file_output(tmp_path, capsys, command, section):
+    cfg_path = write_config(tmp_path, base_config(**section))
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", cfg_path, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main([command, "--config", cfg_path]) == 0
+    printed = capsys.readouterr().out
+    assert printed.encode("utf-8") == out.read_bytes()
+    assert printed.count("\n") >= 2

@@ -10,6 +10,7 @@ from fblsec.constrained import (
     MonteCarlo,
     PointMassGain,
     Thresholds,
+    expected_eps_e,
     expected_lfp,
     feasible_m_interval,
     feasible_m_interval_statistical,
@@ -291,6 +292,45 @@ def test_monte_carlo_requires_seed():
         MonteCarlo(5000, seed=None)
     with pytest.raises(ValueError):
         GaussQuadrature(1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ExponentialGain(mean=-1.0),
+    lambda: ExponentialGain(mean=0.0),
+    lambda: ExponentialGain(mean=math.inf),
+    lambda: ExponentialGain(mean=math.nan),
+    lambda: PointMassGain(value=-2.0),
+    lambda: PointMassGain(value=math.inf),
+    lambda: PointMassGain(value=math.nan),
+    lambda: GaussQuadrature(nodes=2.5),
+    lambda: GaussQuadrature(nodes=64.0),
+    lambda: MonteCarlo(samples=10.5, seed=1),
+    lambda: MonteCarlo(samples=0, seed=1),
+])
+def test_invalid_fading_parameters_rejected(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_valid_fading_parameters_accepted():
+    assert ExponentialGain(mean=0.5).mean == 0.5
+    assert PointMassGain(value=0.0).value == 0.0
+    assert GaussQuadrature(nodes=np.int64(16)).nodes == 16
+    assert MonteCarlo(samples=np.int32(10), seed=1).samples == 10
+
+
+@pytest.mark.parametrize("fading", [
+    FadingSpec(ExponentialGain(), GaussQuadrature(64)),
+    FadingSpec(ExponentialGain(), MonteCarlo(100, seed=3)),
+    FadingSpec(PointMassGain(), GaussQuadrature(64)),
+])
+def test_zero_power_is_the_zero_snr_limit(fading):
+    sc = make_scenario(mean_gain=1.0)
+    res = Resources(400.0, 0.0)
+    assert expected_eps_e(sc, res, fading) == 1.0
+    with np.errstate(divide="ignore"):
+        assert expected_lfp(sc, res, fading) == 1.0
+        assert lfp_at(sc, res)[0] == 1.0
 
 
 def test_monte_carlo_seed_deterministic():
