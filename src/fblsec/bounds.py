@@ -3,8 +3,10 @@ the Gaussian tail function squeezed between anchored exponentials.
 
 Together these turn the leakage-failure probability into a composite
 exponential surrogate that upper-bounds it everywhere and touches it at the
-anchor allocation.  SurrogateModel assembles it over a LinkSet; the
-iterative solver minimizes it and the public approx_* helpers evaluate it.
+anchor allocation.  SurrogateModel holds, per link of a LinkSet, the bound
+coefficients and floored anchor probabilities, and evaluates the surrogate
+from the links' exponents with each bound computed once; the iterative
+solver minimizes it and approx_lfp evaluates it.
 """
 
 from __future__ import annotations
@@ -140,124 +142,73 @@ def local_point(scenario: Scenario, res: Resources) -> LocalPoint:
                       min(max(float(eps_e), _EPS_FLOOR), _EPS_CEIL))
 
 
-@dataclass(frozen=True)
-class FactorSpec:
-    """One factor of a product term: an exponential bound on either a decoding
-    error (sign -1) or a leakage probability (sign +1) of a given link."""
-
-    link: int
-    sign: int
-    coeffs: ExpBoundCoeffs
-    f_hat: float
-
-
-@dataclass(frozen=True)
-class TermSpec:
-    """One product term of the surrogate, bounded by coef * mean(ratios)**K."""
-
-    coef: float
-    factors: Tuple[FactorSpec, ...]
-
-
-def factor_value(fs: FactorSpec, w):
-    """Evaluate one factor's exponential bound at the link exponent w."""
-    if fs.sign < 0:
-        return q_upper(w, fs.coeffs)
-    return one_minus_q_upper(w, fs.coeffs)
-
-
-def build_composite_terms(omega_b_hat: float,
-                          omega_e_hats: Sequence[float]) -> List[TermSpec]:
-    """Term structure of the anchored LFP surrogate for one Bob link (index 0)
-    and N eavesdropper links (indices 1..N):
-
-      - one reliability term bounding eps_b * prod_n eps_{e,n}, and
-      - per eavesdropper n, a leakage term bounding
-        (1 - eps_{e,n}) * prod_{i>n} eps_{e,i}
-
-    (the telescoped expansion of 1 - prod_n eps_{e,n}).  Every factor is the
-    anchored exponential bound of its probability, so each term upper-bounds
-    its product and matches it exactly at the anchor.
-    """
-    n = len(omega_e_hats)
-    if n < 1:
-        raise ValueError("at least one eavesdropper exponent is required")
-    eps_b0 = min(max(q(omega_b_hat), _EPS_FLOOR), _EPS_CEIL)
-    eps_e0 = [min(max(q(w), _EPS_FLOOR), _EPS_CEIL) for w in omega_e_hats]
-    delta0 = [max(1.0 - e, _EPS_FLOOR) for e in eps_e0]
-
-    coeff_b = exp_bound_coeffs(omega_b_hat)
-    coeff_e = [exp_bound_coeffs(w) for w in omega_e_hats]
-    coeff_d = [exp_bound_coeffs(-w) for w in omega_e_hats]
-
-    terms: List[TermSpec] = []
-    reliability = [FactorSpec(0, -1, coeff_b, eps_b0)]
-    reliability += [FactorSpec(i + 1, -1, coeff_e[i], eps_e0[i]) for i in range(n)]
-    terms.append(TermSpec(coef=eps_b0 * math.prod(eps_e0), factors=tuple(reliability)))
-
-    for k in range(n):
-        leak = [FactorSpec(k + 1, +1, coeff_d[k], delta0[k])]
-        leak += [FactorSpec(i + 1, -1, coeff_e[i], eps_e0[i]) for i in range(k + 1, n)]
-        coef = delta0[k] * math.prod(eps_e0[k + 1:])
-        terms.append(TermSpec(coef=coef, factors=tuple(leak)))
-    return terms
-
-
-def composite_value(terms: Sequence[TermSpec], link_omegas: Sequence):
-    """Evaluate the surrogate: sum over terms of coef * mean(ratios)**K, where
-    ratio i is the factor bound at the current link exponent over its anchor
-    value.  Accepts broadcast arrays per link.  Far from the anchor the value
-    can overflow to inf; that is an honest report that the bound is vacuous
-    there."""
-    total = None
-    with np.errstate(over="ignore"):
-        for term in terms:
-            k = len(term.factors)
-            s = np.float64(0.0)
-            for fs in term.factors:
-                s = s + factor_value(fs, link_omegas[fs.link]) / fs.f_hat
-            part = term.coef * (s / k) ** k
-            total = part if total is None else total + part
-    if np.ndim(total):
-        return total
-    return float(total)
-
-
 class SurrogateModel:
-    """The anchored composite surrogate in (m, p), plus the exponent lower
-    bounds that keep every error-probability factor at or below one."""
+    """The anchored composite surrogate of the LFP for one Bob link (index 0)
+    and N eavesdropper links (indices 1..N): the sum of one reliability term
+    bounding eps_b * prod_n eps_{e,n} and, per eavesdropper n, one leakage
+    term bounding (1 - eps_{e,n}) * prod_{i>n} eps_{e,i} (the telescoped
+    expansion of 1 - prod_n eps_{e,n}).  A term is coef * mean(ratios) ** K,
+    coef the product of its factors' anchor values and each ratio a factor's
+    anchored exponential bound over its anchor value, so it upper-bounds its
+    product and matches it at the anchor.
+
+    Per link the model holds the error-bound coefficients and floored anchor
+    error, per eavesdropper the leakage-bound coefficients and anchor
+    leakage, and omega_floors lists the (link, exponent) pairs below which a
+    link's error bound would exceed one.
+    """
 
     def __init__(self, links: LinkSet, m_hat: float, p_hat: float):
         self.links = links
         self.m_hat = float(m_hat)
         self.p_hat = float(p_hat)
-        whats = [float(links.omega_link(i, m_hat, p_hat))
-                 for i in range(len(links.channels))]
-        self.omega_hats = whats
-        self.terms: List[TermSpec] = build_composite_terms(whats[0], whats[1:])
+        whats = [float(w) for w in links.omegas(m_hat, p_hat)]
+        # anchor values floored away from exact 0/1 so the ratios stay finite
+        self.eps_hats = [min(max(q(w), _EPS_FLOOR), _EPS_CEIL) for w in whats]
+        self.delta_hats = [max(1.0 - e, _EPS_FLOOR) for e in self.eps_hats[1:]]
+        self.err_coeffs = [exp_bound_coeffs(w) for w in whats]
+        self.leak_coeffs = [exp_bound_coeffs(-w) for w in whats[1:]]
+        eps_e = self.eps_hats[1:]
+        self.coefs = [self.eps_hats[0] * math.prod(eps_e)] + [
+            d * math.prod(eps_e[n + 1:]) for n, d in enumerate(self.delta_hats)]
+        self.omega_floors: List[Tuple[int, float]] = []
+        for link, (cf, w_hat) in enumerate(zip(self.err_coeffs, whats)):
+            if cf.a < 1e-100 or cf.c >= 1.0:
+                continue  # the bound has degraded to a near-constant
+            w_min = (cf.log_b - math.log1p(-cf.c)) / cf.a
+            w_min = min(w_min, w_hat - 1e-9 * (1.0 + abs(w_hat)))
+            self.omega_floors.append((link, w_min))
         self.anchor_value = self.value(m_hat, p_hat)
-        self.omega_floors = self._exponent_floors()
 
-    def _exponent_floors(self) -> List[Tuple[int, float]]:
-        """Per link, the exponent below which its error bound would exceed 1.
-        Links whose bound has degraded to a near-constant carry no floor."""
-        floors = {}
-        for term in self.terms:
-            for fs in term.factors:
-                if fs.sign >= 0:
-                    continue
-                cf = fs.coeffs
-                if cf.a < 1e-100 or cf.c >= 1.0:
-                    continue
-                w_min = (cf.log_b - math.log1p(-cf.c)) / cf.a
-                w_anchor = self.omega_hats[fs.link]
-                margin = 1e-9 * (1.0 + abs(w_anchor))
-                w_min = min(w_min, w_anchor - margin)
-                floors[fs.link] = max(floors.get(fs.link, -math.inf), w_min)
-        return sorted(floors.items())
+    def terms_at(self, omegas: Sequence) -> list:
+        """The terms at the per-link exponents omegas (broadcast arrays
+        allowed): the reliability term, then the leakage terms in
+        eavesdropper order.  Each bound's ratio is computed once."""
+        terms = []
+        with np.errstate(over="ignore"):
+            err = [q_upper(w, cf) / f
+                   for w, cf, f in zip(omegas, self.err_coeffs, self.eps_hats)]
+            leak = [one_minus_q_upper(w, cf) / f
+                    for w, cf, f in zip(omegas[1:], self.leak_coeffs, self.delta_hats)]
+            # leakage term n: eavesdropper n's leakage, then eavesdroppers n+1..N
+            ratio_sets = [err] + [[r] + err[n + 2:] for n, r in enumerate(leak)]
+            for coef, ratios in zip(self.coefs, ratio_sets):
+                s = np.float64(0.0)
+                for r in ratios:
+                    s = s + r
+                terms.append(coef * (s / len(ratios)) ** len(ratios))
+        return terms
+
+    def value_at(self, omegas: Sequence):
+        """The sum of terms_at(omegas).  Far from the anchor it can overflow
+        to inf, an honest report that the bound is vacuous there."""
+        terms = self.terms_at(omegas)
+        with np.errstate(over="ignore"):
+            total = sum(terms[1:], terms[0])
+        return total if np.ndim(total) else float(total)
 
     def value(self, m, p):
-        return composite_value(self.terms, self.links.omegas(m, p))
+        return self.value_at(self.links.omegas(m, p))
 
 
 def approx_lfp(m: float, p: float, scenario: Scenario, lp: LocalPoint) -> float:

@@ -42,12 +42,13 @@ class ChannelSpec:
     mean_gain: Optional[float] = None
 
     def __post_init__(self):
-        if not self.gain >= 0.0:
-            raise ValueError(f"gain must be >= 0, got {self.gain}")
-        if not self.noise_power > 0.0:
-            raise ValueError(f"noise_power must be > 0, got {self.noise_power}")
-        if self.mean_gain is not None and not self.mean_gain > 0.0:
-            raise ValueError(f"mean_gain must be > 0, got {self.mean_gain}")
+        if not (self.gain >= 0.0 and math.isfinite(self.gain)):
+            raise ValueError(f"gain must be finite and >= 0, got {self.gain}")
+        if not (self.noise_power > 0.0 and math.isfinite(self.noise_power)):
+            raise ValueError(f"noise_power must be finite and > 0, got {self.noise_power}")
+        if self.mean_gain is not None and not (self.mean_gain > 0.0
+                                               and math.isfinite(self.mean_gain)):
+            raise ValueError(f"mean_gain must be finite and > 0, got {self.mean_gain}")
 
 
 @dataclass(frozen=True)
@@ -95,8 +96,8 @@ class Scenario:
             raise ValueError("at least one eavesdropper channel is required")
         if not (isinstance(self.m_cap, (int, np.integer)) and self.m_cap >= 1):
             raise ValueError(f"m_cap must be a positive integer, got {self.m_cap}")
-        if not self.p_cap > 0.0:
-            raise ValueError(f"p_cap must be > 0, got {self.p_cap}")
+        if not (self.p_cap > 0.0 and math.isfinite(self.p_cap)):
+            raise ValueError(f"p_cap must be finite and > 0, got {self.p_cap}")
 
     @property
     def single_eve(self) -> ChannelSpec:

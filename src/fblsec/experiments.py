@@ -106,18 +106,32 @@ def solver_from_config(cfg: dict) -> SolverConfig:
         raise ConfigError(f"bad solver section: {exc}") from exc
 
 
-def grid_from_config(cfg: dict) -> Optional[GridSpec]:
+def grid_from_config(cfg: dict, scenario: Scenario) -> Optional[GridSpec]:
+    """The 'oracle' section, checked against the scenario: m_range is two
+    integers with 1 <= lo <= hi <= m_cap and p_min lies in (0, p_cap]."""
     sec = _section(cfg, "oracle")
     if sec is None:
         return None
     try:
+        m_range = sec.get("m_range") or None
+        if m_range is not None:
+            ints = [int(v) for v in m_range]
+            if ints != list(m_range) or not (
+                    len(ints) == 2 and 1 <= ints[0] <= ints[1] <= scenario.m_cap):
+                raise ConfigError("oracle m_range must be two integers in "
+                                  f"[1, m_cap], got {m_range!r}")
+            m_range = tuple(ints)
+        p_min = float(sec["p_min"]) if sec.get("p_min") is not None else None
+        if p_min is not None and not 0.0 < p_min <= scenario.p_cap:
+            raise ConfigError(f"oracle p_min must lie in (0, p_cap], got {p_min}")
         return GridSpec(
-            m_range=(tuple(int(v) for v in sec["m_range"])
-                     if sec.get("m_range") else None),
+            m_range=m_range,
             p_points=int(sec.get("p_points", 1000)),
             refine_rounds=int(sec.get("refine_rounds", 3)),
-            p_min=(float(sec["p_min"]) if sec.get("p_min") is not None else None),
+            p_min=p_min,
         )
+    except ConfigError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad oracle section: {exc}") from exc
 
@@ -185,6 +199,8 @@ def cmd_eval(cfg: dict) -> Tuple[List[str], Iterable[tuple]]:
         n_p = int(sec.get("p_points", 40))
         if not (1 <= m_lo <= m_hi <= scenario.m_cap) or not (0 < p_lo <= p_hi <= scenario.p_cap):
             raise ConfigError("eval ranges must lie inside the scenario caps")
+        if n_m < 1 or n_p < 1:
+            raise ConfigError("eval point counts must be at least 1")
         ms = np.unique(np.round(np.geomspace(m_lo, m_hi, n_m)).astype(int))
         ps = np.geomspace(p_lo, p_hi, n_p)
     except ConfigError:
@@ -206,6 +222,7 @@ def cmd_solve(cfg: dict) -> Tuple[List[str], List[list]]:
     when an oracle grid is configured."""
     scenario = scenario_from_config(cfg)
     solver_cfg = solver_from_config(cfg)
+    grid = grid_from_config(cfg, scenario)
     result = solve_multi(scenario, solver_cfg)
     header = ["source", "k", "m", "p", "eps_lf_hat", "eps_lf"]
     rows: List[list] = []
@@ -213,7 +230,6 @@ def cmd_solve(cfg: dict) -> Tuple[List[str], List[list]]:
         rows.append(["iterate", rec.k, rec.m, rec.p, rec.eps_hat, rec.eps_actual])
     rows.append(["final", result.trace.rounds_used, result.m_star,
                  result.p_star, None, result.eps_lf])
-    grid = grid_from_config(cfg)
     if grid is not None:
         m_o, p_o, v_o = exhaustive_min_lfp(scenario, grid)
         rows.append(["oracle", None, m_o, p_o, None, v_o])
@@ -276,28 +292,24 @@ def _apply_sweep_value(scenario: Scenario, variable: str, value: float) -> Scena
     raise ConfigError(f"unknown sweep variable {variable!r}")
 
 
-def _sweep_point(scenario: Scenario, sweep: dict, solver_cfg: SolverConfig,
-                 variable: str, value: float) -> List[list]:
+def _sweep_point(scenario: Scenario, sweep: dict, mode: tuple,
+                 solver_cfg: SolverConfig, variable: str, value: float
+                 ) -> List[list]:
     sc = _apply_sweep_value(scenario, variable, value)
-    mode = sweep.get("mode", "joint")
+    name, power, th = mode
     rows: List[list] = []
-    if mode == "joint":
+    if name == "joint":
         res = solve_multi(sc, solver_cfg)
         rows.append([float(value), "joint", res.m_star, res.p_star,
                      res.eps_lf, None])
-    elif mode == "blocklength":
-        th = _thresholds_from(sweep)
-        p = float(sweep["power"])
-        m_star, v = solve_blocklength(sc, p, th)
-        rows.append([float(value), "blocklength", m_star, p, v, None])
-    elif mode == "throughput":
-        th = _thresholds_from(sweep)
-        p = float(sweep.get("power", sc.p_cap))
+    elif name == "blocklength":
+        m_star, v = solve_blocklength(sc, power, th)
+        rows.append([float(value), "blocklength", m_star, power, v, None])
+    else:
+        p = sc.p_cap if power is None else power
         m_star, tau = maximize_throughput(sc, p, th)
         v = scenario_lfp(sc, Resources(float(m_star), p))
         rows.append([float(value), "throughput", m_star, p, v, tau])
-    else:
-        raise ConfigError(f"unknown sweep mode {mode!r}")
 
     fixed = _fixed_leakage_section(sweep)
     if fixed is not None:
@@ -313,13 +325,25 @@ def _fixed_leakage_section(sweep: dict) -> Optional[dict]:
     return _section(_section(sweep, "baseline", {}), "fixed_leakage")
 
 
-def _thresholds_from(sweep: dict) -> Thresholds:
+def _sweep_mode(sweep: dict) -> Tuple[str, Optional[float], Optional[Thresholds]]:
+    """(mode, power, thresholds) of the sweep section: a blocklength sweep
+    needs both the power and the thresholds, a throughput sweep needs the
+    thresholds and defaults the power to each point's p_cap, and a joint
+    sweep needs neither."""
+    mode = sweep.get("mode", "joint")
+    if mode == "joint":
+        return mode, None, None
+    if mode not in ("blocklength", "throughput"):
+        raise ConfigError(f"unknown sweep mode {mode!r}")
+    if mode == "blocklength" and sweep.get("power") is None:
+        raise ConfigError("a blocklength sweep needs a 'power'")
     try:
+        power = float(sweep["power"]) if sweep.get("power") is not None else None
         th = sweep["thresholds"]
-        return Thresholds(delta_max=float(th["delta_max"]),
-                          eps_b_max=float(th["eps_b_max"]))
+        return mode, power, Thresholds(delta_max=float(th["delta_max"]),
+                                       eps_b_max=float(th["eps_b_max"]))
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad thresholds in sweep section: {exc}") from exc
+        raise ConfigError(f"bad {mode} sweep section: {exc}") from exc
 
 
 def cmd_sweep(cfg: dict, threads: int = 1) -> Tuple[List[str], List[list]]:
@@ -339,12 +363,13 @@ def cmd_sweep(cfg: dict, threads: int = 1) -> Tuple[List[str], List[list]]:
         raise ConfigError("sweep values must be non-empty")
     _validate_sweep_variable(scenario, variable)
     # checked before the points run, where a ConfigError becomes an error row
+    mode = _sweep_mode(sweep)
     _fixed_leakage_section(sweep)
     trend = _section(sweep, "trend")
 
     def run_one(value: float):
         try:
-            return _sweep_point(scenario, sweep, solver_cfg, variable, value), None
+            return _sweep_point(scenario, sweep, mode, solver_cfg, variable, value), None
         except (InfeasibleError, ValueError) as exc:
             return [[value, "error", None, None, None, None]], exc
 
@@ -361,7 +386,7 @@ def cmd_sweep(cfg: dict, threads: int = 1) -> Tuple[List[str], List[list]]:
                   f"{type(exc).__name__}: {exc}", file=sys.stderr)
 
     if trend:
-        _assert_trend(rows, trend, sweep.get("mode", "joint"))
+        _assert_trend(rows, trend, mode[0])
     header = ["value", "source", "m", "p", "eps_lf", "tau_lf"]
     return header, rows
 
@@ -390,6 +415,6 @@ def _assert_trend(rows: List[list], trend: dict, primary_source: str) -> None:
 def cmd_oracle(cfg: dict) -> Tuple[List[str], List[list]]:
     """Benchmark row: the exhaustive-search optimum of the scenario."""
     scenario = scenario_from_config(cfg)
-    grid = grid_from_config(cfg) or GridSpec()
+    grid = grid_from_config(cfg, scenario) or GridSpec()
     m, p, v = exhaustive_min_lfp(scenario, grid)
     return ["source", "m", "p", "eps_lf"], [["oracle", m, p, v]]

@@ -11,7 +11,9 @@ the oracle's pruned scan, so the descent starts in the global minimum's basin.
 The inner minimizer is a coarse feasible log-grid scan followed by shrinking
 log-space zooms around the incumbent; a scan needs no convexity, so it stays
 reliable where the surrogate's leakage term bends the valley (it is not
-globally convex).
+globally convex).  Each scan computes every link's exponent once and uses it
+both to evaluate the surrogate and to mask the cells below the exponent
+floors.
 """
 
 from __future__ import annotations
@@ -106,11 +108,13 @@ def _resource_box(links: LinkSet) -> Tuple[float, float, float, float]:
 
 
 def _masked_values(model: SurrogateModel, ms: np.ndarray, ps: np.ndarray):
+    """The surrogate over the grid ms x ps, inf where it is not finite or a
+    link's exponent is below its floor; each exponent is computed once."""
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = model.value(ms, ps)
+        ws = model.links.omegas(ms, ps)
+        vals = model.value_at(ws)
         for link, w_min in model.omega_floors:
-            w = model.links.omega_link(link, ms, ps)
-            vals = np.where(w >= w_min, vals, np.inf)
+            vals = np.where(ws[link] >= w_min, vals, np.inf)
     return np.where(np.isfinite(vals), vals, np.inf)
 
 

@@ -7,22 +7,21 @@ from fblsec.bounds import (
     SurrogateModel,
     am_gm_upper,
     approx_lfp,
-    build_composite_terms,
-    composite_value,
     exp_bound_coeffs,
     local_point,
     one_minus_q_upper,
     q_upper,
 )
-from fblsec.core import Resources, lfp_at, linkset_single, q
+from fblsec.core import EveModel, Resources, lfp_at, linkset_for, linkset_single, q
 from fblsec.errors import DegenerateLocalPointError
 
+from conftest import make_scenario
 
-def _anchor_terms(scenario, lp):
-    """Composite terms anchored at a local point, built from the exponents
-    the link kernel gives there."""
-    w_b, w_e = SurrogateModel(linkset_single(scenario), lp.m_hat, lp.p_hat).omega_hats
-    return build_composite_terms(w_b, [w_e])
+
+def _anchor_model(scenario, lp):
+    """The surrogate of a single-eavesdropper scenario anchored at a local
+    point."""
+    return SurrogateModel(linkset_single(scenario), lp.m_hat, lp.p_hat)
 
 # hazard rate phi/Q at +6, frozen from a 50-digit oracle
 HAZARD_AT_6 = 6.158482604544598917278
@@ -145,13 +144,13 @@ def test_surrogate_convex_in_exponent_space(default_scenario, rng):
     """As a function of the two decoding exponents the surrogate is a sum of
     convex exponential compositions: midpoints never beat chord averages."""
     lp = local_point(default_scenario, Resources(m=320.0, p=0.1))
-    terms = _anchor_terms(default_scenario, lp)
+    model = _anchor_model(default_scenario, lp)
     for _ in range(2000):
         wb1, wb2 = rng.uniform(-2.0, 10.0, size=2)
         we1, we2 = rng.uniform(-6.0, 4.0, size=2)
-        f1 = composite_value(terms, [wb1, we1])
-        f2 = composite_value(terms, [wb2, we2])
-        fm = composite_value(terms, [0.5 * (wb1 + wb2), 0.5 * (we1 + we2)])
+        f1 = model.value_at([wb1, we1])
+        f2 = model.value_at([wb2, we2])
+        fm = model.value_at([0.5 * (wb1 + wb2), 0.5 * (we1 + we2)])
         if not (np.isfinite(f1) and np.isfinite(f2)):
             continue
         assert fm <= 0.5 * (f1 + f2) + 1e-9 * max(1.0, abs(f1) + abs(f2))
@@ -168,15 +167,14 @@ def test_reliability_term_convex_in_resources(default_scenario, rng):
 
     sc = default_scenario
     lp = local_point(sc, Resources(m=320.0, p=0.1))
-    terms = _anchor_terms(sc, lp)
-    reliability = [terms[0]]
+    model = _anchor_model(sc, lp)
     thr = rate_threshold_sweep_max(150.0)
     m_cap = sc.d / thr
 
     def value(m, p):
         wb = omega(snr(sc.bob, p), sc.d, m)
         we = omega(snr(sc.single_eve, p), sc.d, m)
-        return composite_value(reliability, [wb, we])
+        return model.terms_at([wb, we])[0]
 
     checked = 0
     while checked < 500:
@@ -210,20 +208,73 @@ def test_composite_terms_reduce_to_pair_formula(default_scenario):
     plus the leakage bound, written with the anchored ratio weights."""
     res = Resources(m=400.0, p=0.08)
     lp = local_point(default_scenario, res)
-    terms = _anchor_terms(default_scenario, lp)
-    assert len(terms) == 2
-    assert len(terms[0].factors) == 2
-    assert len(terms[1].factors) == 1
+    model = _anchor_model(default_scenario, lp)
     from fblsec.core import omega, snr
 
     m, p = 500.0, 0.1
     wb = omega(snr(default_scenario.bob, p), default_scenario.d, m)
     we = omega(snr(default_scenario.single_eve, p), default_scenario.d, m)
-    val = composite_value(terms, [wb, we])
-    eb_hat = q_upper(wb, terms[0].factors[0].coeffs)
-    ee_hat = q_upper(we, terms[0].factors[1].coeffs)
-    d_hat = one_minus_q_upper(we, terms[1].factors[0].coeffs)
+    assert len(model.terms_at([wb, we])) == 2
+    val = model.value_at([wb, we])
+    eb_hat = q_upper(wb, model.err_coeffs[0])
+    ee_hat = q_upper(we, model.err_coeffs[1])
+    d_hat = one_minus_q_upper(we, model.leak_coeffs[0])
     manual = (lp.eps_e_hat / (4.0 * lp.eps_b_hat)) * (
         eb_hat + lp.eps_b_hat / lp.eps_e_hat * ee_hat
     ) ** 2 + d_hat
     assert val == pytest.approx(manual, rel=1e-12)
+
+
+def _anchor_probability(w):
+    """An error probability at an anchor exponent, floored away from exact 0
+    and 1 the way the surrogate's anchor values are."""
+    return min(max(q(w), 1e-300), float(np.nextafter(1.0, 0.0)))
+
+
+@pytest.mark.parametrize("eve_gains,eve_model", [
+    ((1.0,), EveModel.PASSIVE),
+    ((1.0, 0.5), EveModel.PASSIVE),
+    ((1.0, 0.5, 0.8), EveModel.PASSIVE),
+    ((1.0, 0.5, 0.8, 0.6), EveModel.PASSIVE),
+    ((0.8, 0.9), EveModel.SUPER),
+])
+def test_terms_are_mean_bounds_of_their_factors(eve_gains, eve_model, rng):
+    """The reliability term is the mean bound of Bob's and every
+    eavesdropper's error bound, and leakage term n that of eavesdropper n's
+    leakage bound and the error bounds of eavesdroppers n+1..N, each over its
+    anchor value; the surrogate is the sum of the terms."""
+    links = linkset_for(make_scenario(z_b=2.5, eve_gains=eve_gains,
+                                      eve_model=eve_model))
+    n_eves = len(links.channels) - 1
+    anchors = checked = 0
+    while anchors < 20:
+        m_hat = float(np.exp(rng.uniform(np.log(100.0), np.log(3000.0))))
+        p_hat = float(10.0 ** rng.uniform(-3.0, 0.0))
+        w_hats = [float(w) for w in links.omegas(m_hat, p_hat)]
+        if not -8.0 <= min(w_hats) <= max(w_hats) <= 12.0:
+            continue  # far from the valley the bounds saturate
+        anchors += 1
+        model = SurrogateModel(links, m_hat, p_hat)
+        eps_hats = [_anchor_probability(w) for w in w_hats]
+        delta_hats = [max(1.0 - e, 1e-300) for e in eps_hats[1:]]
+        err_cf = [exp_bound_coeffs(w) for w in w_hats]
+        leak_cf = [exp_bound_coeffs(-w) for w in w_hats[1:]]
+        for _ in range(5):
+            m = m_hat * math.exp(rng.uniform(-0.3, 0.3))
+            p = p_hat * math.exp(rng.uniform(-0.5, 0.5))
+            ws = links.omegas(m, p)
+            err = [q_upper(w, cf) for w, cf in zip(ws, err_cf)]
+            leak = [one_minus_q_upper(w, cf) for w, cf in zip(ws[1:], leak_cf)]
+            if min(err + leak) <= 0.0:
+                continue  # am_gm_upper needs positive factors
+            expected = [am_gm_upper(err, eps_hats)]
+            expected += [am_gm_upper([leak[n]] + err[n + 2:],
+                                     [delta_hats[n]] + eps_hats[n + 2:])
+                         for n in range(n_eves)]
+            terms = model.terms_at(ws)
+            assert len(terms) == n_eves + 1
+            for got, want in zip(terms, expected):
+                assert got == pytest.approx(want, rel=1e-12)
+            assert model.value(m, p) == sum(terms)
+            checked += 1
+    assert checked >= 80

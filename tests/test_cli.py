@@ -140,6 +140,22 @@ def test_sweep_error_rows_continue(tmp_path, capsys):
     assert err_lines[0].startswith("fblsec sweep: value 1: InfeasibleError: ")
 
 
+def test_throughput_sweep_defaults_power_to_each_p_cap(tmp_path):
+    cfg = base_config(sweep={
+        "variable": "p_cap",
+        "values": [0.1, 0.2],
+        "mode": "throughput",
+        "thresholds": {"delta_max": 1e-3, "eps_b_max": 1e-3},
+    })
+    cfg["scenario"]["bob"]["gain"] = 4.0
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+    assert [(r[1], float(r[3])) for r in rows] == [("throughput", 0.1),
+                                                    ("throughput", 0.2)]
+
+
 def test_oracle_command(tmp_path):
     cfg = base_config(oracle={"p_points": 200, "refine_rounds": 1})
     out = tmp_path / "oracle.csv"
@@ -157,6 +173,12 @@ def test_missing_scenario_exits_2(tmp_path):
     assert main(["solve", "--config", path]) == 2
 
 
+def _scenario_with(**changes):
+    """A scenario section override: the base scenario with some fields
+    replaced."""
+    return {"scenario": dict(base_config()["scenario"], **changes)}
+
+
 @pytest.mark.parametrize("command,section", [
     ("oracle", {"oracle": {"p_points": 0}}),
     ("eval", {"eval": {"m_points": "many"}}),
@@ -167,6 +189,16 @@ def test_missing_scenario_exits_2(tmp_path):
     ("sweep", {"sweep": {"variable": "z_b", "values": [2.0], "mode": "joint",
                          "baseline": 7}}),
     ("solve", None),
+    ("solve", _scenario_with(p_cap=math.inf)),
+    ("oracle", _scenario_with(bob={"gain": math.inf, "noise_power": 0.1})),
+    ("oracle", {"oracle": {"m_range": [5]}}),
+    ("solve", {"oracle": {"m_range": [1, 5000]}}),
+    ("oracle", {"oracle": {"p_min": 50}}),
+    ("eval", {"eval": {"m_points": 0}}),
+    ("sweep", {"sweep": {"variable": "z_b", "values": [2.0], "mode": "blocklength",
+                         "thresholds": {"delta_max": 1e-3, "eps_b_max": 1e-3}}}),
+    ("sweep", {"sweep": {"variable": "z_b", "values": [2.0], "mode": "nonsense"}}),
+    ("sweep", {"sweep": {"variable": "z_b", "values": [2.0], "mode": "throughput"}}),
 ])
 def test_malformed_section_exits_2(tmp_path, capsys, command, section):
     cfg = [1, 2] if section is None else base_config(**section)

@@ -253,3 +253,17 @@ def test_scenario_validation():
         ChannelSpec(1.0, 0.0)
     with pytest.raises(ValueError):
         Resources(m=0.0, p=1.0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_channel_and_power_cap_must_be_finite(bad):
+    """A JSON 1e400 or Infinity parses to inf; no channel value or power cap
+    accepts it (or NaN)."""
+    with pytest.raises(ValueError, match="finite"):
+        ChannelSpec(bad, 0.1)
+    with pytest.raises(ValueError, match="finite"):
+        ChannelSpec(1.0, bad)
+    with pytest.raises(ValueError, match="finite"):
+        ChannelSpec(1.0, 0.1, mean_gain=bad)
+    with pytest.raises(ValueError, match="finite"):
+        make_scenario(p_cap=bad)
