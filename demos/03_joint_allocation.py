@@ -12,7 +12,7 @@ within a fraction of a percent of the brute-force benchmark.
 
 import time
 
-from fblsec import ChannelSpec, GridSpec, Scenario, exhaustive_min_lfp, solve_joint
+from fblsec import ChannelSpec, GridSpec, Scenario, exhaustive_min_lfp, solve_multi
 
 
 def scenario_with(z_b):
@@ -28,7 +28,7 @@ def scenario_with(z_b):
 for z_b in (1.5, 1.8):
     sc = scenario_with(z_b)
     t0 = time.perf_counter()
-    res = solve_joint(sc)
+    res = solve_multi(sc)
     dt = time.perf_counter() - t0
     print(f"== z_b = {z_b} ==")
     print(f"start (coarse-grid minimum): m = {res.trace.m0:.0f}, "

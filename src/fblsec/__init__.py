@@ -61,42 +61,27 @@ from .errors import (
     InfeasibleError,
     TrendViolationError,
 )
-from .multi_eve import (
-    approx_lfp_passive,
-    lfp_passive,
-    scenario_lfp,
-    solve_multi,
-    telescope_leakage,
-)
+from .multi_eve import scenario_lfp, solve_multi, telescope_leakage
 from .oracle import GridSpec, exhaustive_min_lfp, golden_section_max
-from .solver import (
-    AllocationResult,
-    SolveTrace,
-    SolverConfig,
-    inner_minimize,
-    round_blocklength,
-    solve_joint,
-)
+from .solver import AllocationResult, SolveTrace, SolverConfig
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AllocationResult", "ChannelSpec", "ConcavityReport", "ConfigError",
     "DegenerateChannelError", "DegenerateLocalPointError", "EveModel",
-    "ExpBoundCoeffs", "ExponentialGain", "FadingSpec",
-    "GaussQuadrature", "GridSpec", "InfeasibleError", "LocalPoint",
-    "MonteCarlo", "PointMassGain", "ReliabilityPair", "Resources",
-    "Scenario", "SolveTrace", "SolverConfig", "Thresholds",
-    "TrendViolationError", "am_gm_upper", "approx_lfp", "approx_lfp_passive",
+    "ExpBoundCoeffs", "ExponentialGain", "FadingSpec", "GaussQuadrature",
+    "GridSpec", "InfeasibleError", "LocalPoint", "MonteCarlo", "PointMassGain",
+    "ReliabilityPair", "Resources", "Scenario", "SolveTrace", "SolverConfig",
+    "Thresholds", "TrendViolationError", "am_gm_upper", "approx_lfp",
     "capacity", "check_concavity", "dispersion", "exhaustive_min_lfp",
     "exp_bound_coeffs", "expected_lfp", "fbl_error", "feasible_m_interval",
-    "feasible_m_interval_statistical", "golden_section_max", "inner_minimize",
-    "lfp", "lfp_at", "lfp_passive", "local_point", "max_rate",
-    "maximize_throughput", "omega", "omega_gradient", "omega_hessian",
-    "omega_hessian_fd", "omega_hessian_mgamma", "one_minus_q_upper",
-    "q", "q_inv", "q_upper", "rate_threshold",
-    "rate_threshold_sweep_max", "round_blocklength", "scenario_lfp",
+    "feasible_m_interval_statistical", "golden_section_max", "lfp", "lfp_at",
+    "local_point", "max_rate", "maximize_throughput", "omega",
+    "omega_gradient", "omega_hessian", "omega_hessian_fd",
+    "omega_hessian_mgamma", "one_minus_q_upper", "q", "q_inv", "q_upper",
+    "rate_threshold", "rate_threshold_sweep_max", "scenario_lfp",
     "secrecy_rate", "snr", "solve_blocklength",
-    "solve_blocklength_statistical", "solve_fixed_leakage", "solve_joint",
-    "solve_multi", "telescope_leakage",
+    "solve_blocklength_statistical", "solve_fixed_leakage", "solve_multi",
+    "telescope_leakage",
 ]

@@ -6,7 +6,8 @@ exponential surrogate that upper-bounds it everywhere and touches it at the
 anchor allocation.  SurrogateModel holds, per link of a LinkSet, the bound
 coefficients and floored anchor probabilities, and evaluates the surrogate
 from the links' exponents with each bound computed once; the iterative
-solver minimizes it and approx_lfp evaluates it.
+solver minimizes it, and approx_lfp evaluates it for any scenario (one
+eavesdropper, passive sets and colluders alike).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 from scipy.special import log_ndtr
 
-from .core import LinkSet, Resources, Scenario, linkset_for, linkset_single, q
+from .core import LinkSet, Resources, Scenario, linkset_for, q
 from .errors import DegenerateLocalPointError
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -201,10 +202,13 @@ class SurrogateModel:
 
     def value_at(self, omegas: Sequence):
         """The sum of terms_at(omegas).  Far from the anchor it can overflow
-        to inf, an honest report that the bound is vacuous there."""
-        terms = self.terms_at(omegas)
-        with np.errstate(over="ignore"):
+        to inf, an honest report that the bound is vacuous there; a term
+        whose coefficient underflowed to 0 times a ratio mean that overflowed
+        (0 * inf) counts as inf too."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = self.terms_at(omegas)
             total = sum(terms[1:], terms[0])
+        total = np.where(np.isnan(total), np.inf, total)
         return total if np.ndim(total) else float(total)
 
     def value(self, m, p):
@@ -212,11 +216,13 @@ class SurrogateModel:
 
 
 def approx_lfp(m: float, p: float, scenario: Scenario, lp: LocalPoint) -> float:
-    """Anchored convex surrogate of the single-eavesdropper LFP.
+    """Anchored surrogate of the scenario's LFP under its own eavesdropper
+    model: one eavesdropper, independent ones (each telescoped product term
+    bounded separately) or colluders on their summed-gain link.
 
     Upper-bounds the true LFP for every allocation and equals it at
     (lp.m_hat, lp.p_hat).
     """
     if lp.eps_b_hat <= 0.0 or lp.eps_e_hat <= 0.0:
         raise DegenerateLocalPointError("local point carries zero error probability")
-    return SurrogateModel(linkset_single(scenario), lp.m_hat, lp.p_hat).value(m, p)
+    return SurrogateModel(linkset_for(scenario), lp.m_hat, lp.p_hat).value(m, p)

@@ -26,25 +26,30 @@ from .core import (
     linkset_single,
 )
 from .errors import InfeasibleError
-from .oracle import golden_section_max, refine_argmin
+from .oracle import GridSpec, golden_section_max, refine_argmin
 
 
 # ---------------------------------------------------------------------------
 # thresholds and fading descriptions
 # ---------------------------------------------------------------------------
 
+def _check_cap(name: str, v: float) -> None:
+    """ValueError unless the probability cap v lies in (0, 0.5], the premise
+    of the convexity results used by the searches below."""
+    if not 0.0 < v <= 0.5:
+        raise ValueError(f"{name} must lie in (0, 0.5], got {v}")
+
+
 @dataclass(frozen=True)
 class Thresholds:
-    """Leakage cap and reliability cap; both at most one half, which is the
-    premise of the convexity results used by the searches below."""
+    """Leakage cap and reliability cap, each in (0, 0.5]."""
 
     delta_max: float
     eps_b_max: float
 
     def __post_init__(self):
-        for name, v in (("delta_max", self.delta_max), ("eps_b_max", self.eps_b_max)):
-            if not 0.0 < v <= 0.5:
-                raise ValueError(f"{name} must lie in (0, 0.5], got {v}")
+        _check_cap("delta_max", self.delta_max)
+        _check_cap("eps_b_max", self.eps_b_max)
 
 
 @dataclass(frozen=True)
@@ -200,9 +205,10 @@ def solve_fixed_leakage(scenario: Scenario, delta_cap: float,
     power point means p_cap alone): Bob's error falls and the leakage rises
     in m and p, so a tile's error is at least its value at (m_hi, p_hi), and
     the whole tile breaks the cap when its leakage at (m_lo, p_lo) does.  The
-    result equals a scan of every cell."""
-    if not 0.0 < delta_cap <= 0.5:
-        raise ValueError(f"delta_cap must lie in (0, 0.5], got {delta_cap}")
+    result equals a scan of every cell.  ValueError unless delta_cap lies in
+    (0, 0.5], p_points >= 1 and refine_rounds >= 0."""
+    _check_cap("delta_cap", delta_cap)
+    GridSpec(p_points=p_points, refine_rounds=refine_rounds)  # checks both counts
     links = linkset_single(scenario)
     p_min = p_min if p_min is not None else scenario.p_cap * 1e-6
     if not 0.0 < p_min <= scenario.p_cap:

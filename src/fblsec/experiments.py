@@ -19,7 +19,13 @@ from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
-from .constrained import Thresholds, maximize_throughput, solve_blocklength, solve_fixed_leakage
+from .constrained import (
+    Thresholds,
+    _check_cap,
+    maximize_throughput,
+    solve_blocklength,
+    solve_fixed_leakage,
+)
 from .core import ChannelSpec, EveModel, Resources, Scenario, lfp_from_errors, linkset_for
 from .errors import ConfigError, InfeasibleError, TrendViolationError
 from .multi_eve import scenario_lfp, solve_multi
@@ -292,7 +298,8 @@ def _apply_sweep_value(scenario: Scenario, variable: str, value: float) -> Scena
     raise ConfigError(f"unknown sweep variable {variable!r}")
 
 
-def _sweep_point(scenario: Scenario, sweep: dict, mode: tuple,
+def _sweep_point(scenario: Scenario, mode: tuple,
+                 fixed: Optional[Tuple[float, GridSpec]],
                  solver_cfg: SolverConfig, variable: str, value: float
                  ) -> List[list]:
     sc = _apply_sweep_value(scenario, variable, value)
@@ -311,18 +318,28 @@ def _sweep_point(scenario: Scenario, sweep: dict, mode: tuple,
         v = scenario_lfp(sc, Resources(float(m_star), p))
         rows.append([float(value), "throughput", m_star, p, v, tau])
 
-    fixed = _fixed_leakage_section(sweep)
     if fixed is not None:
-        cap = float(fixed.get("delta_cap", 1e-3))
+        cap, grid = fixed
         m_fx, p_fx, v_fx = solve_fixed_leakage(
-            sc, cap, p_points=int(fixed.get("p_points", 300)),
-            refine_rounds=int(fixed.get("refine_rounds", 2)))
+            sc, cap, p_points=grid.p_points, refine_rounds=grid.refine_rounds)
         rows.append([float(value), "fixed_leakage", m_fx, p_fx, v_fx, None])
     return rows
 
 
-def _fixed_leakage_section(sweep: dict) -> Optional[dict]:
-    return _section(_section(sweep, "baseline", {}), "fixed_leakage")
+def _fixed_leakage(sweep: dict) -> Optional[Tuple[float, GridSpec]]:
+    """(delta_cap, grid) of the sweep's fixed-leakage baseline, or None
+    when it has none: delta_cap lies in (0, 0.5] and the grid carries the
+    baseline's p_points and refine_rounds, checked by GridSpec."""
+    sec = _section(_section(sweep, "baseline", {}), "fixed_leakage")
+    if sec is None:
+        return None
+    try:
+        cap = float(sec.get("delta_cap", 1e-3))
+        _check_cap("delta_cap", cap)
+        return cap, GridSpec(p_points=int(sec.get("p_points", 300)),
+                             refine_rounds=int(sec.get("refine_rounds", 2)))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad fixed_leakage baseline: {exc}") from exc
 
 
 def _sweep_mode(sweep: dict) -> Tuple[str, Optional[float], Optional[Thresholds]]:
@@ -364,12 +381,12 @@ def cmd_sweep(cfg: dict, threads: int = 1) -> Tuple[List[str], List[list]]:
     _validate_sweep_variable(scenario, variable)
     # checked before the points run, where a ConfigError becomes an error row
     mode = _sweep_mode(sweep)
-    _fixed_leakage_section(sweep)
-    trend = _section(sweep, "trend")
+    fixed = _fixed_leakage(sweep)
+    trend = _trend(_section(sweep, "trend"))
 
     def run_one(value: float):
         try:
-            return _sweep_point(scenario, sweep, mode, solver_cfg, variable, value), None
+            return _sweep_point(scenario, mode, fixed, solver_cfg, variable, value), None
         except (InfeasibleError, ValueError) as exc:
             return [[value, "error", None, None, None, None]], exc
 
@@ -385,22 +402,32 @@ def cmd_sweep(cfg: dict, threads: int = 1) -> Tuple[List[str], List[list]]:
             print(f"fblsec sweep: value {format_cell(value)}: "
                   f"{type(exc).__name__}: {exc}", file=sys.stderr)
 
-    if trend:
+    if trend is not None:
         _assert_trend(rows, trend, mode[0])
     header = ["value", "source", "m", "p", "eps_lf", "tau_lf"]
     return header, rows
 
 
-def _assert_trend(rows: List[list], trend: dict, primary_source: str) -> None:
-    column = trend.get("column", "eps_lf")
-    direction = trend.get("direction")
-    if direction not in _TREND_CHECKS:
+def _trend(sec: Optional[dict]) -> Optional[Tuple[str, int, str]]:
+    """(column, column index, direction) of a sweep's trend section, or None
+    when it has none (an empty section counts as none)."""
+    if not sec:
+        return None
+    column = sec.get("column", "eps_lf")
+    direction = sec.get("direction")
+    if not (isinstance(direction, str) and direction in _TREND_CHECKS):
         raise ConfigError(
             f"trend direction must be one of {sorted(_TREND_CHECKS)}, got {direction!r}"
         )
-    col_idx = {"value": 0, "m": 2, "p": 3, "eps_lf": 4, "tau_lf": 5}.get(column)
-    if col_idx is None:
+    columns = {"value": 0, "m": 2, "p": 3, "eps_lf": 4, "tau_lf": 5}
+    if not (isinstance(column, str) and column in columns):
         raise ConfigError(f"unknown trend column {column!r}")
+    return column, columns[column], direction
+
+
+def _assert_trend(rows: List[list], trend: Tuple[str, int, str],
+                  primary_source: str) -> None:
+    column, col_idx, direction = trend
     series = [r[col_idx] for r in rows if r[1] == primary_source]
     if any(v is None for v in series):
         raise TrendViolationError("trend column has missing values")

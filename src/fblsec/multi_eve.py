@@ -1,17 +1,21 @@
-"""Leakage-failure probability with several eavesdroppers.
+"""Leakage-failure probability of a scenario under its eavesdropper model,
+and the solver for it.
 
 Two collusion models: passive (independent decoders; the packet leaks unless
 every eavesdropper fails) and super (perfect signal sharing, modeled as one
-eavesdropper whose gain is the sum).  The passive surrogate telescopes the
-joint-failure complement into nonnegative products before bounding each one.
+eavesdropper whose gain is the sum).  core.linkset_for realizes either model
+as a LinkSet, so one evaluator, scenario_lfp, and one solver, solve_multi,
+serve one eavesdropper, passive sets and colluders alike; the surrogate is
+bounds.approx_lfp.  telescope_leakage writes the joint-failure complement
+1 - prod(eps_e) as a sum of nonnegative products, the expansion the
+surrogate bounds term by term.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .bounds import LocalPoint, SurrogateModel
-from .core import LinkSet, Resources, Scenario, linkset_for
+from .core import Resources, Scenario, linkset_for
 from .solver import AllocationResult, SolverConfig, run_iteration
 
 
@@ -29,35 +33,14 @@ def telescope_leakage(eps_e: Sequence[float]) -> float:
     return total
 
 
-def _passive_links(scenario: Scenario) -> LinkSet:
-    """One link per eavesdropper, whatever the scenario's model."""
-    return LinkSet(scenario.d, scenario.bob, scenario.eves,
-                   scenario.m_cap, scenario.p_cap)
-
-
-def lfp_passive(scenario: Scenario, res: Resources) -> float:
-    """LFP with independent eavesdroppers: Bob fails, or at least one
-    eavesdropper decodes."""
-    return float(_passive_links(scenario).lfp(res.m, res.p))
-
-
-def approx_lfp_passive(m: float, p: float, scenario: Scenario,
-                       anchor: LocalPoint) -> float:
-    """Anchored surrogate of the passive-eavesdropper LFP: each telescoped
-    product term is replaced by its ratio-weighted power mean with every factor
-    bounded by an anchored exponential.  Upper-bounds lfp_passive everywhere
-    and matches it at the anchor allocation (anchor.m_hat, anchor.p_hat), from
-    which the link exponents are derived."""
-    return SurrogateModel(_passive_links(scenario), anchor.m_hat, anchor.p_hat).value(m, p)
-
-
 def scenario_lfp(scenario: Scenario, res: Resources) -> float:
     """Actual LFP of any scenario under its own eavesdropper model."""
     return float(linkset_for(scenario).lfp(res.m, res.p))
 
 
 def solve_multi(scenario: Scenario, cfg: SolverConfig | None = None) -> AllocationResult:
-    """Minimize the LFP of a multi-eavesdropper scenario.  Colluding
+    """Minimize the LFP of a scenario with one or more eavesdroppers over
+    blocklength and power with the iterative surrogate method.  Colluding
     eavesdroppers are solved on the aggregated link; passive ones run the
     iteration on the telescoped surrogate."""
     cfg = cfg or SolverConfig()

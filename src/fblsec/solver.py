@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -30,9 +31,7 @@ from .core import (
     LinkSet,
     ReliabilityPair,
     Resources,
-    Scenario,
     lfp_from_errors,
-    linkset_single,
     q,  # noqa: F401  kept bound here: perfbench's tracer tests patch it in solver
 )
 from .errors import InfeasibleError
@@ -53,11 +52,18 @@ class SolverConfig:
 
     init = None selects the documented default start (default_init): the
     minimizer of the actual LFP over a coarse grid of the resource box.
+    mu_th must be finite and nonnegative, max_iter an integer of at least 1.
     """
 
     mu_th: float = 1e-8
     max_iter: int = 100
     init: Optional[Resources] = None
+
+    def __post_init__(self):
+        if not (math.isfinite(self.mu_th) and self.mu_th >= 0.0):
+            raise ValueError(f"mu_th must be finite and >= 0, got {self.mu_th}")
+        if not (isinstance(self.max_iter, Integral) and self.max_iter >= 1):
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
 @dataclass(frozen=True)
@@ -108,14 +114,15 @@ def _resource_box(links: LinkSet) -> Tuple[float, float, float, float]:
 
 
 def _masked_values(model: SurrogateModel, ms: np.ndarray, ps: np.ndarray):
-    """The surrogate over the grid ms x ps, inf where it is not finite or a
-    link's exponent is below its floor; each exponent is computed once."""
+    """The surrogate over the grid ms x ps (inf where the bound is vacuous),
+    and inf where a link's exponent is below its floor; each exponent is
+    computed once."""
     with np.errstate(over="ignore", invalid="ignore"):
         ws = model.links.omegas(ms, ps)
         vals = model.value_at(ws)
         for link, w_min in model.omega_floors:
             vals = np.where(ws[link] >= w_min, vals, np.inf)
-    return np.where(np.isfinite(vals), vals, np.inf)
+    return vals
 
 
 def minimize_surrogate(model: SurrogateModel, box):
@@ -179,8 +186,8 @@ def default_init(links: LinkSet, box) -> Tuple[float, float]:
 
 
 def run_iteration(links: LinkSet, cfg: SolverConfig) -> AllocationResult:
-    """Algorithm core shared by the single-, super-, and passive-eavesdropper
-    solvers."""
+    """The iteration on one link set, for any number of eavesdroppers;
+    multi_eve.solve_multi runs it on a scenario's links."""
     box = _resource_box(links)
     m_lo, m_hi, p_lo, p_hi = box
     if cfg.init is not None:
@@ -224,45 +231,10 @@ def run_iteration(links: LinkSet, cfg: SolverConfig) -> AllocationResult:
 
 
 def _round_blocklength(links: LinkSet, m_relaxed: float, p_star: float) -> int:
-    lo = int(math.floor(m_relaxed))
-    hi = int(math.ceil(m_relaxed))
-    candidates = sorted({c for c in (lo, hi) if 1 <= c <= links.m_cap})
-    if not candidates:
-        candidates = [min(max(lo, 1), links.m_cap)]
-    best = candidates[0]
-    best_val = float(links.lfp(float(candidates[0]), p_star))
-    for c in candidates[1:]:
-        v = float(links.lfp(float(c), p_star))
-        if v < best_val:
-            best, best_val = c, v
-    return best
-
-
-# ---------------------------------------------------------------------------
-# public single-eavesdropper surface
-# ---------------------------------------------------------------------------
-
-def solve_joint(scenario: Scenario, cfg: SolverConfig | None = None) -> AllocationResult:
-    """Minimize the LFP of a single-eavesdropper scenario over blocklength and
-    power with the iterative surrogate method."""
-    cfg = cfg or SolverConfig()
-    links = linkset_single(scenario)
-    return run_iteration(links, cfg)
-
-
-def inner_minimize(scenario: Scenario, lp):
-    """One inner solve: minimize the surrogate anchored at the given local
-    point over the resource box.  Returns (m_opt, p_opt)."""
-    links = linkset_single(scenario)
-    model = SurrogateModel(links, lp.m_hat, lp.p_hat)
-    m_opt, p_opt, _val = minimize_surrogate(model, _resource_box(links))
-    return m_opt, p_opt
-
-
-def round_blocklength(m_relaxed: float, p_star: float, scenario: Scenario) -> int:
-    """Choose the integer neighbor of a relaxed blocklength with the smaller
-    achieved LFP (ties to the smaller blocklength)."""
-    if m_relaxed < 1.0:
-        raise ValueError("relaxed blocklength must be at least 1")
-    links = linkset_single(scenario)
-    return _round_blocklength(links, m_relaxed, p_star)
+    """The integer neighbor of m_relaxed with the smaller LFP at p_star, ties
+    to the smaller; m_relaxed lies in [1, m_hi] of the box and m_hi <= m_cap,
+    so both neighbors are admissible."""
+    lo, hi = math.floor(m_relaxed), math.ceil(m_relaxed)
+    if hi > lo and links.lfp(float(hi), p_star) < links.lfp(float(lo), p_star):
+        return hi
+    return lo

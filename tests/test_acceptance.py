@@ -37,7 +37,6 @@ from fblsec.convexity import (
 from fblsec.core import EveModel, Resources, fbl_error, lfp_at, omega, q
 from fblsec.multi_eve import solve_multi, telescope_leakage
 from fblsec.oracle import GridSpec, exhaustive_min_lfp, golden_section_max
-from fblsec.solver import solve_joint
 
 from conftest import feasible_threshold_cases, make_scenario
 
@@ -201,7 +200,7 @@ def test_criterion_06_solver_vs_oracle(default_scenario):
     convergence within 20 rounds, runtime budgets."""
     sc = default_scenario
     t0 = time.perf_counter()
-    res = solve_joint(sc)
+    res = solve_multi(sc)
     t_solve = time.perf_counter() - t0
     values = [res.trace.eps0] + [r.eps_actual for r in res.trace.iterations]
     monotone = bool(np.all(np.diff(values) <= 1e-12))
@@ -231,7 +230,7 @@ def test_criterion_07_gain_sweep_with_baseline():
         joint = []
         for z_b in (1.2, 1.4, 1.6, 1.8, 2.0):
             sc = make_scenario(z_b=z_b, z_e=z_e)
-            v = solve_joint(sc).eps_lf
+            v = solve_multi(sc).eps_lf
             m_fx, p_fx, v_fx = solve_fixed_leakage(sc, 1e-3, p_points=200,
                                                    refine_rounds=2)
             joint.append(v)
@@ -251,7 +250,7 @@ def test_criterion_08_packet_size_sweep():
     optimizing resources nondecreasing."""
     vals, ms, ps = [], [], []
     for d in (160, 320, 480, 640):
-        res = solve_joint(make_scenario(d=d))
+        res = solve_multi(make_scenario(d=d))
         vals.append(res.eps_lf)
         ms.append(res.m_star)
         ps.append(res.p_star)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -186,6 +187,23 @@ def test_reliability_term_convex_in_resources(default_scenario, rng):
         fm = value(0.5 * (m1 + m2), 0.5 * (p1 + p2))
         assert fm <= 0.5 * (f1 + f2) + 1e-9 * max(1.0, abs(f1) + abs(f2))
         checked += 1
+
+
+def test_approx_lfp_is_inf_where_the_reliability_coefficient_underflows():
+    """At an anchor where every error is tiny, eps_b_hat * eps_e_hat
+    underflows to 0; where that term's ratio mean overflows, the surrogate
+    reports the vacuous bound as inf (not 0 * inf = nan), with no warning."""
+    sc = make_scenario(z_b=2.5)
+    lp = local_point(sc, Resources(m=1000.0, p=0.3))
+    model = SurrogateModel(linkset_for(sc), lp.m_hat, lp.p_hat)
+    assert model.coefs[0] == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert approx_lfp(1000.0, 0.03, sc, lp) == math.inf
+        values = model.value(np.array([1000.0, 1000.0]), np.array([0.03, 0.3]))
+    assert values[0] == math.inf
+    assert values[1] == model.anchor_value
+    assert lfp_at(sc, Resources(1000.0, 0.03))[0] < 1.0
 
 
 def test_approx_lfp_rejects_degenerate_local_point(default_scenario):

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from fblsec import experiments
 from fblsec.cli import main
 from fblsec.core import lfp_from_errors, linkset_for
 from fblsec.experiments import rows_to_csv, scenario_from_config
@@ -179,6 +180,16 @@ def _scenario_with(**changes):
     return {"scenario": dict(base_config()["scenario"], **changes)}
 
 
+def _joint_sweep(**extra):
+    """A one-value joint sweep section with extra keys."""
+    return {"sweep": dict({"variable": "z_b", "values": [2.0], "mode": "joint"},
+                          **extra)}
+
+
+def _not_run(*args, **kwargs):
+    raise AssertionError("work ran although the config is malformed")
+
+
 @pytest.mark.parametrize("command,section", [
     ("oracle", {"oracle": {"p_points": 0}}),
     ("eval", {"eval": {"m_points": "many"}}),
@@ -199,8 +210,23 @@ def _scenario_with(**changes):
                          "thresholds": {"delta_max": 1e-3, "eps_b_max": 1e-3}}}),
     ("sweep", {"sweep": {"variable": "z_b", "values": [2.0], "mode": "nonsense"}}),
     ("sweep", {"sweep": {"variable": "z_b", "values": [2.0], "mode": "throughput"}}),
+    ("solve", {"solver": {"mu_th": math.nan}}),
+    ("solve", {"solver": {"mu_th": -1.0}}),
+    ("solve", {"solver": {"max_iter": -3}}),
+    ("sweep", _joint_sweep(baseline={"fixed_leakage": {"delta_cap": "abc"}})),
+    ("sweep", _joint_sweep(baseline={"fixed_leakage": {"delta_cap": 0.9}})),
+    ("sweep", _joint_sweep(baseline={"fixed_leakage": {"p_points": 0}})),
+    ("sweep", _joint_sweep(baseline={"fixed_leakage": {"refine_rounds": -1}})),
+    ("sweep", _joint_sweep(trend={"direction": "bogus"})),
+    ("sweep", _joint_sweep(trend={"direction": "nonincreasing", "column": "bogus"})),
+    ("sweep", _joint_sweep(trend={"direction": ["nonincreasing"]})),
+    ("sweep", _joint_sweep(trend={"direction": "nonincreasing", "column": ["m"]})),
 ])
-def test_malformed_section_exits_2(tmp_path, capsys, command, section):
+def test_malformed_section_exits_2(tmp_path, capsys, monkeypatch, command, section):
+    """A malformed config exits 2 with an error line before any solve,
+    oracle scan or sweep point runs."""
+    for name in ("solve_multi", "exhaustive_min_lfp", "_sweep_point"):
+        monkeypatch.setattr(experiments, name, _not_run)
     cfg = [1, 2] if section is None else base_config(**section)
     path = write_config(tmp_path, cfg)
     assert main([command, "--config", path]) == 2

@@ -21,7 +21,7 @@ from fblsec.constrained import (
 )
 from fblsec.core import Resources, capacity, fbl_error, lfp_at, snr
 from fblsec.errors import InfeasibleError
-from fblsec.solver import solve_joint
+from fblsec.multi_eve import solve_multi
 
 from conftest import feasible_threshold_cases, make_scenario
 
@@ -196,7 +196,7 @@ def test_fixed_leakage_respects_cap(default_scenario):
 def test_fixed_leakage_dominated_by_joint_optimum(default_scenario):
     _, _, v_fixed = solve_fixed_leakage(default_scenario, 1e-3,
                                         p_points=200, refine_rounds=2)
-    v_joint = solve_joint(default_scenario).eps_lf
+    v_joint = solve_multi(default_scenario).eps_lf
     assert v_fixed >= v_joint
 
 
@@ -268,6 +268,18 @@ def test_fixed_leakage_single_power_point_is_p_cap(default_scenario):
 def test_fixed_leakage_p_min_outside_box_rejected(default_scenario, p_min):
     with pytest.raises(ValueError):
         solve_fixed_leakage(default_scenario, 1e-3, p_points=50, p_min=p_min)
+
+
+@pytest.mark.parametrize("kwargs,what", [
+    (dict(p_points=0), "p_points"),
+    (dict(refine_rounds=-1), "refine_rounds"),
+])
+def test_fixed_leakage_empty_grid_rejected(default_scenario, kwargs, what):
+    """No power point or a negative zoom count is a bad argument, not an
+    infeasible cap."""
+    with pytest.raises(ValueError, match=what) as info:
+        solve_fixed_leakage(default_scenario, 1e-3, **kwargs)
+    assert not isinstance(info.value, InfeasibleError)
 
 
 # ---------------------------------------------------------------------------

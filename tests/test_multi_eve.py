@@ -6,16 +6,9 @@ import pytest
 
 from fblsec.bounds import approx_lfp, local_point
 from fblsec.cli import main as cli_main
-from fblsec.core import ChannelSpec, EveModel, Resources, lfp_at
-from fblsec.multi_eve import (
-    approx_lfp_passive,
-    linkset_for,
-    lfp_passive,
-    scenario_lfp,
-    solve_multi,
-    telescope_leakage,
-)
-from fblsec.solver import SurrogateModel, solve_joint
+from fblsec.core import ChannelSpec, EveModel, Resources, fbl_error, lfp_at, snr
+from fblsec.multi_eve import linkset_for, scenario_lfp, solve_multi, telescope_leakage
+from fblsec.solver import SurrogateModel
 
 from conftest import make_scenario
 
@@ -23,7 +16,7 @@ from conftest import make_scenario
 def test_lfp_passive_reduces_to_single(default_scenario):
     res = Resources(m=400.0, p=0.1)
     expected, _ = lfp_at(default_scenario, res)
-    assert lfp_passive(default_scenario, res) == pytest.approx(expected, rel=1e-14)
+    assert scenario_lfp(default_scenario, res) == pytest.approx(expected, rel=1e-14)
 
 
 def test_lfp_passive_perfect_secrecy_leaves_reliability():
@@ -31,10 +24,7 @@ def test_lfp_passive_perfect_secrecy_leaves_reliability():
     # starve the eavesdroppers: with tiny power both fail almost surely and
     # the LFP approaches Bob's error probability alone
     res = Resources(m=3000.0, p=1e-6)
-    v = lfp_passive(sc, res)
-    eb, _ = lfp_at(make_scenario(), res)  # placeholder to reuse machinery
-    from fblsec.core import fbl_error, snr
-
+    v = scenario_lfp(sc, res)
     eps_b = fbl_error(snr(sc.bob, res.p), sc.d, res.m)
     assert v == pytest.approx(eps_b, abs=1e-12)
 
@@ -89,9 +79,10 @@ AGREEMENT_CASES = [
 
 @pytest.mark.parametrize("gains,model", AGREEMENT_CASES)
 def test_lfp_evaluators_and_surrogates_agree(gains, model, tmp_path):
-    """Every LFP evaluator and both surrogate helpers give the link kernel's
-    values: lfp_at (one eavesdropper), scenario_lfp, lfp_passive (passive),
-    LinkSet.lfp, the fblsec eval rows, and the solver's SurrogateModel."""
+    """Every LFP evaluator and the surrogate give the link kernel's values:
+    lfp_at (one eavesdropper, or the colluders' summed-gain link),
+    scenario_lfp, LinkSet.lfp, the fblsec eval rows, and approx_lfp against
+    the solver's SurrogateModel."""
     sc = make_scenario(z_b=2.5, eve_gains=gains, eve_model=model)
     links = linkset_for(sc)
     # one eavesdropper, or the colluders' single summed-gain link
@@ -116,25 +107,22 @@ def test_lfp_evaluators_and_surrogates_agree(gains, model, tmp_path):
         assert scenario_lfp(sc, res) == v
         if single is not None:
             assert lfp_at(single, res)[0] == v
-        if model is EveModel.PASSIVE:
-            assert lfp_passive(sc, res) == v
 
     anchor = Resources(320.0, 0.1)
     model_s = SurrogateModel(links, anchor.m, anchor.p)
     for m, p in [(280.0, 0.12), (500.0, 0.06), (320.0, 0.1), (1500.0, 0.01)]:
         value = model_s.value(m, p)
-        if single is not None:
+        assert approx_lfp(m, p, sc, local_point(sc, anchor)) == value
+        if model is EveModel.SUPER:
             assert approx_lfp(m, p, single, local_point(single, anchor)) == value
-        if model is EveModel.PASSIVE:
-            assert approx_lfp_passive(m, p, sc, local_point(sc, anchor)) == value
 
 
 def test_approx_passive_tight_at_anchor():
     sc = make_scenario(eve_gains=[1.0, 0.8, 0.6])
     res = Resources(m=350.0, p=0.08)
     anchor = local_point(sc, res)
-    assert approx_lfp_passive(res.m, res.p, sc, anchor) == pytest.approx(
-        lfp_passive(sc, res), abs=1e-9
+    assert approx_lfp(res.m, res.p, sc, anchor) == pytest.approx(
+        scenario_lfp(sc, res), abs=1e-9
     )
 
 
@@ -143,26 +131,13 @@ def test_local_point_anchors_passive_surrogate(m, p):
     """local_point anchors a 3-eavesdropper passive scenario: eps_e_hat is
     the product of the eavesdroppers' errors floored at 1e-300 (the second
     anchor's product underflows), and the passive surrogate is tight there."""
-    from fblsec.core import fbl_error, snr
-
     sc = make_scenario(eve_gains=[1.0, 0.8, 0.6])
     lp = local_point(sc, Resources(m, p))
     errors = [fbl_error(snr(e, p), sc.d, m) for e in sc.eves]
     assert lp.eps_e_hat == pytest.approx(max(float(np.prod(errors)), 1e-300), rel=1e-12)
-    assert approx_lfp_passive(m, p, sc, lp) == pytest.approx(
-        lfp_passive(sc, Resources(m, p)), abs=1e-9
+    assert approx_lfp(m, p, sc, lp) == pytest.approx(
+        scenario_lfp(sc, Resources(m, p)), abs=1e-9
     )
-
-
-def test_approx_passive_reduces_to_single_eve_surrogate(default_scenario):
-    from fblsec.bounds import approx_lfp, local_point
-
-    res = Resources(m=320.0, p=0.1)
-    lp = local_point(default_scenario, res)
-    for m, p in [(280.0, 0.12), (500.0, 0.06), (320.0, 0.1)]:
-        assert approx_lfp_passive(m, p, default_scenario, lp) == pytest.approx(
-            approx_lfp(m, p, default_scenario, lp), rel=1e-12
-        )
 
 
 def test_approx_passive_dominates(rng):
@@ -171,32 +146,28 @@ def test_approx_passive_dominates(rng):
     for _ in range(1000):
         m = rng.uniform(60.0, 3000.0)
         p = rng.uniform(1e-3, 10.0)
-        bound = approx_lfp_passive(m, p, sc, anchor)
-        assert bound >= lfp_passive(sc, Resources(m, p)) - 1e-12
+        bound = approx_lfp(m, p, sc, anchor)
+        assert bound >= scenario_lfp(sc, Resources(m, p)) - 1e-12
 
 
 def test_passive_dominated_by_strongest_eve(rng):
     """The passive LFP is at least the leakage of any single eavesdropper."""
     sc = make_scenario(eve_gains=[1.4, 0.9, 0.3])
-    from fblsec.core import fbl_error, snr
-
     for _ in range(300):
         m = rng.uniform(50.0, 3000.0)
         p = rng.uniform(1e-3, 10.0)
-        v = lfp_passive(sc, Resources(m, p))
+        v = scenario_lfp(sc, Resources(m, p))
         for eve in sc.eves:
             eps_k = fbl_error(snr(eve, p), sc.d, m)
             assert v >= (1.0 - eps_k) - 1e-12
 
 
-def test_solve_multi_single_eve_matches_solve_joint(default_scenario):
-    res_joint = solve_joint(default_scenario)
-    for model in (EveModel.PASSIVE, EveModel.SUPER):
-        sc = default_scenario.with_updates(eve_model=model)
-        res_multi = solve_multi(sc)
-        assert res_multi.m_star == res_joint.m_star
-        assert res_multi.p_star == pytest.approx(res_joint.p_star, rel=1e-9)
-        assert res_multi.eps_lf == pytest.approx(res_joint.eps_lf, rel=1e-9)
+def test_solve_multi_single_eve_passive_equals_super(default_scenario):
+    """With one eavesdropper the two collusion models are the same link set,
+    so their solves agree exactly, trace included."""
+    res_p = solve_multi(default_scenario.with_updates(eve_model=EveModel.PASSIVE))
+    res_s = solve_multi(default_scenario.with_updates(eve_model=EveModel.SUPER))
+    assert res_p == res_s
 
 
 @pytest.mark.slow
@@ -232,7 +203,10 @@ def test_scenario_lfp_dispatches_models():
     sc_p = make_scenario(eve_gains=[1.0, 1.0], eve_model=EveModel.PASSIVE)
     sc_s = make_scenario(eve_gains=[1.0, 1.0], eve_model=EveModel.SUPER)
     v_p = scenario_lfp(sc_p, res)
-    assert v_p == pytest.approx(lfp_passive(sc_p, res), rel=1e-14)
+    eps_b = fbl_error(snr(sc_p.bob, res.p), sc_p.d, res.m)
+    eps_e = [fbl_error(snr(e, res.p), sc_p.d, res.m) for e in sc_p.eves]
+    assert v_p == pytest.approx(eps_b * np.prod(eps_e) + telescope_leakage(eps_e),
+                                rel=1e-14)
     combined = make_scenario(eve_gains=[2.0])
     v_combined, _ = lfp_at(combined, res)
     assert scenario_lfp(sc_s, res) == pytest.approx(v_combined, rel=1e-14)

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from fblsec.core import EveModel, Resources, lfp_at
-from fblsec.multi_eve import linkset_for
+from fblsec.multi_eve import linkset_for, solve_multi
 from fblsec.oracle import GridSpec, exhaustive_min_lfp, golden_section_max, grid_argmin
-from fblsec.solver import solve_joint
 
 from conftest import make_scenario
 
@@ -69,8 +68,6 @@ def test_reference_optimum_stability(default_scenario):
     within that scan's resolution."""
     m, p, v = exhaustive_min_lfp(default_scenario, GridSpec())
     # cross-check with an independent, differently spaced scan
-    from fblsec.multi_eve import linkset_for
-
     links = linkset_for(default_scenario)
     ms = np.arange(1, default_scenario.m_cap + 1, dtype=float)[:, None]
     ps = np.geomspace(2e-4, default_scenario.p_cap, 1777)[None, :]
@@ -81,7 +78,7 @@ def test_reference_optimum_stability(default_scenario):
 
 
 def test_oracle_not_above_solver(default_scenario):
-    res = solve_joint(default_scenario)
+    res = solve_multi(default_scenario)
     _, _, v = exhaustive_min_lfp(default_scenario, GridSpec(p_points=400))
     # the grid may sit above the continuous optimum only by its resolution
     assert v <= res.eps_lf * (1.0 + 2e-3)

@@ -2,19 +2,16 @@ import numpy as np
 import pytest
 
 from fblsec.bounds import local_point
-from fblsec.core import EveModel, Resources, lfp_at, linkset_for
+from fblsec.core import EveModel, Resources, lfp_at, linkset_for, linkset_single
 from fblsec.errors import InfeasibleError
 from fblsec.multi_eve import solve_multi
 from fblsec.solver import (
     SolverConfig,
     SurrogateModel,
     default_init,
-    inner_minimize,
-    linkset_single,
     minimize_surrogate,
-    round_blocklength,
-    solve_joint,
     _resource_box,
+    _round_blocklength,
 )
 
 from conftest import make_scenario
@@ -23,7 +20,7 @@ from conftest import make_scenario
 @pytest.fixture(scope="module")
 def solved_default():
     sc = make_scenario()
-    return sc, solve_joint(sc)
+    return sc, solve_multi(sc)
 
 
 def test_trace_monotone_descent(solved_default):
@@ -102,19 +99,13 @@ def test_inner_minimize_matches_dense_grid(default_scenario):
     assert val <= np.min(grid_vals) + 1e-12
 
 
-def test_inner_minimize_public_surface(default_scenario):
-    lp = local_point(default_scenario, Resources(m=320.0, p=0.1))
-    m_opt, p_opt = inner_minimize(default_scenario, lp)
-    assert m_opt > 0 and p_opt > 0
-
-
 def test_round_blocklength_integer_input(default_scenario):
-    assert round_blocklength(100.0, 0.05, default_scenario) == 100
+    assert _round_blocklength(linkset_single(default_scenario), 100.0, 0.05) == 100
 
 
 def test_round_blocklength_picks_smaller_lfp(default_scenario):
     sc = default_scenario
-    m = round_blocklength(100.5, 0.05, sc)
+    m = _round_blocklength(linkset_single(sc), 100.5, 0.05)
     v100, _ = lfp_at(sc, Resources(100.0, 0.05))
     v101, _ = lfp_at(sc, Resources(101.0, 0.05))
     expected = 100 if v100 <= v101 else 101
@@ -136,15 +127,24 @@ def test_round_blocklength_near_solution(solved_default):
     assert abs(min(vals) - v_rel) / v_rel < 1e-4
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(mu_th=float("nan")), dict(mu_th=float("inf")), dict(mu_th=-1.0),
+    dict(max_iter=0), dict(max_iter=-3), dict(max_iter=2.5),
+])
+def test_bad_stop_rule_rejected(kwargs):
+    with pytest.raises(ValueError):
+        SolverConfig(**kwargs)
+
+
 def test_bad_init_rejected(default_scenario):
     cfg = SolverConfig(init=Resources(m=10 ** 6, p=1.0))
     with pytest.raises(InfeasibleError):
-        solve_joint(default_scenario, cfg)
+        solve_multi(default_scenario, cfg)
 
 
 def test_explicit_init_accepted(default_scenario):
     cfg = SolverConfig(init=Resources(m=320.0, p=0.1))
-    res = solve_joint(default_scenario, cfg)
+    res = solve_multi(default_scenario, cfg)
     assert res.trace.converged
     values = [res.trace.eps0] + [r.eps_actual for r in res.trace.iterations]
     assert np.all(np.diff(values) <= 1e-12)
@@ -155,7 +155,7 @@ def test_stronger_bob_variant_matches_oracle():
     from fblsec.oracle import GridSpec, exhaustive_min_lfp
 
     sc = make_scenario(z_b=1.8)
-    res = solve_joint(sc)
+    res = solve_multi(sc)
     _, _, v_o = exhaustive_min_lfp(sc, GridSpec(p_points=500, refine_rounds=3))
     assert abs(res.eps_lf - v_o) / v_o <= 1e-3
 
@@ -195,7 +195,7 @@ def test_symmetric_channels_no_secrecy(rng):
     value of the leakage-failure tradeoff at 3/4 and the solver still
     converges monotonically."""
     sc = make_scenario(z_b=1.0, z_e=1.0)
-    res = solve_joint(sc)
+    res = solve_multi(sc)
     assert res.trace.converged
     assert res.eps_lf >= 0.75 - 1e-9
     values = [res.trace.eps0] + [r.eps_actual for r in res.trace.iterations]
