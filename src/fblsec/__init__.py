@@ -57,7 +57,6 @@ from .core import (
 from .errors import (
     ConfigError,
     DegenerateChannelError,
-    DegenerateLocalPointError,
     InfeasibleError,
     TrendViolationError,
 )
@@ -69,9 +68,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AllocationResult", "ChannelSpec", "ConcavityReport", "ConfigError",
-    "DegenerateChannelError", "DegenerateLocalPointError", "EveModel",
-    "ExpBoundCoeffs", "ExponentialGain", "FadingSpec", "GaussQuadrature",
-    "GridSpec", "InfeasibleError", "LocalPoint", "MonteCarlo", "PointMassGain",
+    "DegenerateChannelError", "EveModel", "ExpBoundCoeffs",
+    "ExponentialGain", "FadingSpec", "GaussQuadrature", "GridSpec",
+    "InfeasibleError", "LocalPoint", "MonteCarlo", "PointMassGain",
     "ReliabilityPair", "Resources", "Scenario", "SolveTrace", "SolverConfig",
     "Thresholds", "TrendViolationError", "am_gm_upper", "approx_lfp",
     "capacity", "check_concavity", "dispersion", "exhaustive_min_lfp",

@@ -1,30 +1,28 @@
 """Products of error probabilities bounded by weighted arithmetic means, and
-the Gaussian tail function squeezed between anchored exponentials.
+the Gaussian tail function bounded by the tangents of its concave logarithm.
 
-Together these turn the leakage-failure probability into a composite
-exponential surrogate that upper-bounds it everywhere and touches it at the
-anchor allocation.  SurrogateModel holds, per link of a LinkSet, the bound
-coefficients and floored anchor probabilities, and evaluates the surrogate
-from the links' exponents with each bound computed once; the iterative
-solver minimizes it, and approx_lfp evaluates it for any scenario (one
-eavesdropper, passive sets and colluders alike).
+Together these turn the leakage-failure probability into a surrogate that
+upper-bounds it everywhere and touches it at the anchor allocation.
+SurrogateModel holds, per link of a LinkSet, the log-tangent coefficients of
+its error bound (and, per eavesdropper, of its leakage bound), and evaluates
+each term of the LFP's telescoped expansion as the exp of the sum of its
+factors' log bounds; the iterative solver minimizes it, and approx_lfp
+evaluates it for any scenario (one eavesdropper, passive sets and colluders
+alike).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 from scipy.special import log_ndtr
 
-from .core import LinkSet, Resources, Scenario, linkset_for, q
-from .errors import DegenerateLocalPointError
+from .core import LinkSet, Resources, Scenario, linkset_for
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-_EPS_FLOOR = 1e-300
-_EPS_CEIL = float(np.nextafter(1.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -49,30 +47,29 @@ def am_gm_upper(f: Sequence[float], f_hat: Sequence[float]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# exponential squeeze of the Gaussian tail
+# log-tangent bound of the Gaussian tail
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ExpBoundCoeffs:
-    """Coefficients (a, b, c) of the anchored exponential bound
-    b * exp(-a * w) + c >= Q(w), with equality at w = omega_hat.
+    """Coefficients of the anchored bound Q(w) <= exp(log_q - a * (w -
+    omega_hat)), the tangent of the concave log Q at omega_hat: a is the
+    normal hazard rate there and log_q = log Q(omega_hat), so the bound is
+    tight at the anchor.
 
-    log_b carries b in log space; b itself can overflow (or underflow) for
-    |omega_hat| beyond ~38, where evaluation falls back to log arithmetic and
-    the bound degrades gracefully toward a constant.
+    Below omega_hat ~ -38.6 the hazard rate underflows to 0 and the bound is
+    the constant Q(omega_hat) = 1.
     """
 
     a: float
-    b: float
-    c: float
     omega_hat: float
-    log_b: float
+    log_q: float
 
     def __post_init__(self):
-        if not self.a > 0.0:
-            raise ValueError("a must be positive")
-        if not math.isfinite(self.log_b):
-            raise ValueError("log_b must be finite")
+        if not self.a >= 0.0:
+            raise ValueError("a must be nonnegative")
+        if not math.isfinite(self.log_q):
+            raise ValueError("log_q must be finite")
 
 
 def _hazard(x):
@@ -84,39 +81,36 @@ def _hazard(x):
 
 
 def exp_bound_coeffs(omega_hat: float) -> ExpBoundCoeffs:
-    """Build the anchored exponential bound for the Gaussian tail at omega_hat.
-
-    The decay rate is max(hazard rate, omega_hat); the hazard rate always wins
-    mathematically, and the log-space evaluation keeps it finite out to anchors
-    where the tail itself underflows.
-    """
+    """Build the anchored log-tangent bound for the Gaussian tail at
+    omega_hat; both coefficients stay finite out to anchors where the tail
+    itself underflows."""
     if not math.isfinite(omega_hat):
         raise ValueError("omega_hat must be finite")
-    a = max(_hazard(omega_hat), omega_hat, _EPS_FLOOR)
-    log_b = -math.log(a) - _LOG_SQRT_2PI + a * omega_hat - 0.5 * omega_hat ** 2
-    with np.errstate(over="ignore", under="ignore"):
-        b = math.exp(log_b) if log_b < 709.0 else math.inf
-    c = q(omega_hat) - math.exp(min(log_b - a * omega_hat, 709.0))
-    return ExpBoundCoeffs(a=a, b=b, c=c, omega_hat=omega_hat, log_b=log_b)
+    return ExpBoundCoeffs(a=_hazard(omega_hat), omega_hat=omega_hat,
+                          log_q=float(log_ndtr(-omega_hat)))
+
+
+def _log_upper(w, coeffs: ExpBoundCoeffs):
+    """log of the bound on Q(w): log_q - a * (w - omega_hat)."""
+    return coeffs.log_q - coeffs.a * (w - coeffs.omega_hat)
 
 
 def q_upper(w, coeffs: ExpBoundCoeffs):
-    """Evaluate the upper bound b * exp(-a * w) + c >= Q(w); tight at the
-    coefficients' anchor."""
-    wv = np.asarray(w, dtype=float)
-    with np.errstate(over="ignore", under="ignore"):
-        out = np.exp(np.minimum(coeffs.log_b - coeffs.a * wv, 709.0)) + coeffs.c
+    """Evaluate the upper bound exp(log_q - a * (w - omega_hat)) >= Q(w);
+    tight at the coefficients' anchor, inf where it overflows."""
+    with np.errstate(over="ignore"):
+        out = np.exp(_log_upper(np.asarray(w, dtype=float), coeffs))
     return out if np.ndim(w) else float(out)
 
 
 def one_minus_q_upper(w, coeffs: ExpBoundCoeffs):
-    """Evaluate b * exp(+a * w) + c >= 1 - Q(w), using coefficients built at
-    the negated anchor; tight at w = -coeffs.omega_hat."""
+    """Evaluate the upper bound on 1 - Q(w) = Q(-w), using coefficients built
+    at the negated anchor; tight at w = -coeffs.omega_hat."""
     return q_upper(-np.asarray(w) if np.ndim(w) else -w, coeffs)
 
 
 # ---------------------------------------------------------------------------
-# anchored composite surrogate for the LFP
+# anchored surrogate for the LFP
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -135,28 +129,22 @@ class LocalPoint:
 
 
 def local_point(scenario: Scenario, res: Resources) -> LocalPoint:
-    """Anchor a scenario, under its own eavesdropper model, at an allocation.
-    Error probabilities are floored away from exact 0/1 so downstream ratio
-    weights stay finite."""
+    """Anchor a scenario, under its own eavesdropper model, at an allocation."""
     eps_b, eps_e = linkset_for(scenario).eps_pair(res.m, res.p)
-    return LocalPoint(res.m, res.p, min(max(float(eps_b), _EPS_FLOOR), _EPS_CEIL),
-                      min(max(float(eps_e), _EPS_FLOOR), _EPS_CEIL))
+    return LocalPoint(res.m, res.p, float(eps_b), float(eps_e))
 
 
 class SurrogateModel:
-    """The anchored composite surrogate of the LFP for one Bob link (index 0)
-    and N eavesdropper links (indices 1..N): the sum of one reliability term
+    """The anchored surrogate of the LFP for one Bob link (index 0) and N
+    eavesdropper links (indices 1..N): the sum of one reliability term
     bounding eps_b * prod_n eps_{e,n} and, per eavesdropper n, one leakage
     term bounding (1 - eps_{e,n}) * prod_{i>n} eps_{e,i} (the telescoped
-    expansion of 1 - prod_n eps_{e,n}).  A term is coef * mean(ratios) ** K,
-    coef the product of its factors' anchor values and each ratio a factor's
-    anchored exponential bound over its anchor value, so it upper-bounds its
-    product and matches it at the anchor.
+    expansion of 1 - prod_n eps_{e,n}).  A term is the exp of the sum of its
+    factors' log-tangent bounds, so it upper-bounds its product and matches
+    it at the anchor.
 
-    Per link the model holds the error-bound coefficients and floored anchor
-    error, per eavesdropper the leakage-bound coefficients and anchor
-    leakage, and omega_floors lists the (link, exponent) pairs below which a
-    link's error bound would exceed one.
+    Per link the model holds the error-bound coefficients, per eavesdropper
+    the leakage-bound coefficients.
     """
 
     def __init__(self, links: LinkSet, m_hat: float, p_hat: float):
@@ -164,51 +152,31 @@ class SurrogateModel:
         self.m_hat = float(m_hat)
         self.p_hat = float(p_hat)
         whats = [float(w) for w in links.omegas(m_hat, p_hat)]
-        # anchor values floored away from exact 0/1 so the ratios stay finite
-        self.eps_hats = [min(max(q(w), _EPS_FLOOR), _EPS_CEIL) for w in whats]
-        self.delta_hats = [max(1.0 - e, _EPS_FLOOR) for e in self.eps_hats[1:]]
         self.err_coeffs = [exp_bound_coeffs(w) for w in whats]
         self.leak_coeffs = [exp_bound_coeffs(-w) for w in whats[1:]]
-        eps_e = self.eps_hats[1:]
-        self.coefs = [self.eps_hats[0] * math.prod(eps_e)] + [
-            d * math.prod(eps_e[n + 1:]) for n, d in enumerate(self.delta_hats)]
-        self.omega_floors: List[Tuple[int, float]] = []
-        for link, (cf, w_hat) in enumerate(zip(self.err_coeffs, whats)):
-            if cf.a < 1e-100 or cf.c >= 1.0:
-                continue  # the bound has degraded to a near-constant
-            w_min = (cf.log_b - math.log1p(-cf.c)) / cf.a
-            w_min = min(w_min, w_hat - 1e-9 * (1.0 + abs(w_hat)))
-            self.omega_floors.append((link, w_min))
         self.anchor_value = self.value(m_hat, p_hat)
 
     def terms_at(self, omegas: Sequence) -> list:
         """The terms at the per-link exponents omegas (broadcast arrays
         allowed): the reliability term, then the leakage terms in
-        eavesdropper order.  Each bound's ratio is computed once."""
-        terms = []
+        eavesdropper order.  Each log bound is computed once, and the
+        eavesdroppers' error bounds are summed from the last one back."""
+        err = [_log_upper(w, cf) for w, cf in zip(omegas, self.err_coeffs)]
+        logs = []
+        tail = 0.0  # log error bounds of the eavesdroppers after n
+        for n in range(len(self.leak_coeffs), 0, -1):
+            logs.append(_log_upper(-omegas[n], self.leak_coeffs[n - 1]) + tail)
+            tail = tail + err[n]
+        logs.append(err[0] + tail)
         with np.errstate(over="ignore"):
-            err = [q_upper(w, cf) / f
-                   for w, cf, f in zip(omegas, self.err_coeffs, self.eps_hats)]
-            leak = [one_minus_q_upper(w, cf) / f
-                    for w, cf, f in zip(omegas[1:], self.leak_coeffs, self.delta_hats)]
-            # leakage term n: eavesdropper n's leakage, then eavesdroppers n+1..N
-            ratio_sets = [err] + [[r] + err[n + 2:] for n, r in enumerate(leak)]
-            for coef, ratios in zip(self.coefs, ratio_sets):
-                s = np.float64(0.0)
-                for r in ratios:
-                    s = s + r
-                terms.append(coef * (s / len(ratios)) ** len(ratios))
-        return terms
+            return [np.exp(x) for x in reversed(logs)]
 
     def value_at(self, omegas: Sequence):
         """The sum of terms_at(omegas).  Far from the anchor it can overflow
-        to inf, an honest report that the bound is vacuous there; a term
-        whose coefficient underflowed to 0 times a ratio mean that overflowed
-        (0 * inf) counts as inf too."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms = self.terms_at(omegas)
+        to inf, an honest report that the bound is vacuous there."""
+        terms = self.terms_at(omegas)
+        with np.errstate(over="ignore"):
             total = sum(terms[1:], terms[0])
-        total = np.where(np.isnan(total), np.inf, total)
         return total if np.ndim(total) else float(total)
 
     def value(self, m, p):
@@ -218,11 +186,9 @@ class SurrogateModel:
 def approx_lfp(m: float, p: float, scenario: Scenario, lp: LocalPoint) -> float:
     """Anchored surrogate of the scenario's LFP under its own eavesdropper
     model: one eavesdropper, independent ones (each telescoped product term
-    bounded separately) or colluders on their summed-gain link.
+    bounded separately) or colluders on their summed-SNR link.
 
     Upper-bounds the true LFP for every allocation and equals it at
     (lp.m_hat, lp.p_hat).
     """
-    if lp.eps_b_hat <= 0.0 or lp.eps_e_hat <= 0.0:
-        raise DegenerateLocalPointError("local point carries zero error probability")
     return SurrogateModel(linkset_for(scenario), lp.m_hat, lp.p_hat).value(m, p)

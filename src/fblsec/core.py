@@ -275,15 +275,14 @@ def linkset_single(scenario: Scenario) -> LinkSet:
 
 def linkset_for(scenario: Scenario) -> LinkSet:
     """Link set realizing the scenario's eavesdropper model: the super model
-    collapses the colluders to one link with the summed gain (they must share
-    one noise power), the passive model keeps all links."""
+    collapses the colluders to one link whose SNR is the sum of theirs
+    (maximum-ratio combining), written as the gains rescaled to the first
+    eavesdropper's noise power; the passive model keeps all links."""
     eves = scenario.eves
     if scenario.eve_model is EveModel.SUPER and len(eves) > 1:
-        noises = {e.noise_power for e in eves}
-        if len(noises) != 1:
-            raise ValueError("eavesdroppers must share one noise power")
-        eves = (ChannelSpec(gain=float(sum(e.gain for e in eves)),
-                            noise_power=noises.pop()),)
+        n_0 = eves[0].noise_power
+        gain = sum(e.gain * (n_0 / e.noise_power) for e in eves)
+        eves = (ChannelSpec(gain=float(gain), noise_power=n_0),)
     return LinkSet(scenario.d, scenario.bob, eves, scenario.m_cap, scenario.p_cap)
 
 

@@ -5,10 +5,6 @@ class DegenerateChannelError(ValueError):
     """Zero SNR: the dispersion vanishes and the decoding exponent is undefined."""
 
 
-class DegenerateLocalPointError(ValueError):
-    """A surrogate anchor has a zero error probability, so the ratio weights blow up."""
-
-
 class InfeasibleError(ValueError):
     """No point satisfies the requested constraints (thresholds, boxes, initialization)."""
 

@@ -301,7 +301,10 @@ def _apply_sweep_value(scenario: Scenario, variable: str, value: float) -> Scena
 def _sweep_point(scenario: Scenario, mode: tuple,
                  fixed: Optional[Tuple[float, GridSpec]],
                  solver_cfg: SolverConfig, variable: str, value: float
-                 ) -> List[list]:
+                 ) -> Tuple[List[list], Optional[Exception]]:
+    """The value's rows and the exception of a failed fixed-leakage
+    baseline (None otherwise): a failed baseline becomes an error row next
+    to the primary row, while a failed primary solve raises."""
     sc = _apply_sweep_value(scenario, variable, value)
     name, power, th = mode
     rows: List[list] = []
@@ -320,10 +323,13 @@ def _sweep_point(scenario: Scenario, mode: tuple,
 
     if fixed is not None:
         cap, grid = fixed
-        m_fx, p_fx, v_fx = solve_fixed_leakage(
-            sc, cap, p_points=grid.p_points, refine_rounds=grid.refine_rounds)
+        try:
+            m_fx, p_fx, v_fx = solve_fixed_leakage(
+                sc, cap, p_points=grid.p_points, refine_rounds=grid.refine_rounds)
+        except (InfeasibleError, ValueError) as exc:
+            return rows + [[float(value), "error", None, None, None, None]], exc
         rows.append([float(value), "fixed_leakage", m_fx, p_fx, v_fx, None])
-    return rows
+    return rows, None
 
 
 def _fixed_leakage(sweep: dict) -> Optional[Tuple[float, GridSpec]]:
@@ -386,7 +392,7 @@ def cmd_sweep(cfg: dict, threads: int = 1) -> Tuple[List[str], List[list]]:
 
     def run_one(value: float):
         try:
-            return _sweep_point(scenario, mode, fixed, solver_cfg, variable, value), None
+            return _sweep_point(scenario, mode, fixed, solver_cfg, variable, value)
         except (InfeasibleError, ValueError) as exc:
             return [[value, "error", None, None, None, None]], exc
 

@@ -2,8 +2,8 @@
 and the solver for it.
 
 Two collusion models: passive (independent decoders; the packet leaks unless
-every eavesdropper fails) and super (perfect signal sharing, modeled as one
-eavesdropper whose gain is the sum).  core.linkset_for realizes either model
+every eavesdropper fails) and super (perfect signal sharing: maximum-ratio
+combining, modeled as one eavesdropper whose SNR is the sum of theirs).  core.linkset_for realizes either model
 as a LinkSet, so one evaluator, scenario_lfp, and one solver, solve_multi,
 serve one eavesdropper, passive sets and colluders alike; the surrogate is
 bounds.approx_lfp.  telescope_leakage writes the joint-failure complement

@@ -8,12 +8,12 @@ dominates the true objective and touches it at the anchor; the inner step only
 has to not increase the surrogate.  Since the iteration only descends, the
 default start is the minimizer of the actual LFP over a coarse grid, found by
 the oracle's pruned scan, so the descent starts in the global minimum's basin.
-The inner minimizer is a coarse feasible log-grid scan followed by shrinking
+The inner minimizer is a coarse log-grid scan followed by shrinking
 log-space zooms around the incumbent; a scan needs no convexity, so it stays
 reliable where the surrogate's leakage term bends the valley (it is not
-globally convex).  Each scan computes every link's exponent once and uses it
-both to evaluate the surrogate and to mask the cells below the exponent
-floors.
+globally convex).  The surrogate is a valid bound at every exponent, so the
+scans range over the whole box.  An integer start whose LFP beats the rounded
+result is returned instead, so the solve never ends above its start.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ class AllocationResult:
 
 
 # ---------------------------------------------------------------------------
-# inner minimization: feasible grid seed + shrinking log-space zoom
+# inner minimization: grid seed + shrinking log-space zoom
 # ---------------------------------------------------------------------------
 
 def _resource_box(links: LinkSet) -> Tuple[float, float, float, float]:
@@ -113,22 +113,10 @@ def _resource_box(links: LinkSet) -> Tuple[float, float, float, float]:
     return 1.0, m_hi, p_lo, links.p_cap
 
 
-def _masked_values(model: SurrogateModel, ms: np.ndarray, ps: np.ndarray):
-    """The surrogate over the grid ms x ps (inf where the bound is vacuous),
-    and inf where a link's exponent is below its floor; each exponent is
-    computed once."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        ws = model.links.omegas(ms, ps)
-        vals = model.value_at(ws)
-        for link, w_min in model.omega_floors:
-            vals = np.where(ws[link] >= w_min, vals, np.inf)
-    return vals
-
-
 def minimize_surrogate(model: SurrogateModel, box):
-    """Minimize the surrogate over the box subject to the exponent floors.
+    """Minimize the surrogate over the box.
 
-    The surrogate's valley is long and nearly flat, so a coarse feasible scan
+    The surrogate's valley is long and nearly flat, so a coarse scan
     seeds a sequence of shrinking log-space zooms that slide along the valley.
     Returns (m, p, value).  The incumbent starts at the better of the scan and
     the anchor and only ever improves, so the returned point never has a
@@ -136,16 +124,14 @@ def minimize_surrogate(model: SurrogateModel, box):
     """
     m_lo, m_hi, p_lo, p_hi = box
 
-    # ---- coarse feasible seed (vectorized scan plus the anchor)
+    # ---- coarse seed (vectorized scan plus the anchor)
     ms = np.geomspace(m_lo, m_hi, _SEED_GRID)[:, None]
     ps = np.geomspace(max(p_lo, p_hi * 1e-8), p_hi, _SEED_GRID)[None, :]
-    vals = _masked_values(model, ms, ps)
+    vals = model.value(ms, ps)
     i, j = np.unravel_index(int(np.argmin(vals)), vals.shape)
     best = (float(ms[i, 0]), float(ps[0, j]), float(vals[i, j]))
     if model.anchor_value <= best[2]:
         best = (model.m_hat, model.p_hat, float(model.anchor_value))
-    if not np.isfinite(best[2]):
-        raise InfeasibleError("no feasible point for the surrogate inside the box")
 
     # ---- local zoom: shrinking log-space windows around the incumbent
     half_width = math.log(4.0)
@@ -155,7 +141,7 @@ def minimize_surrogate(model: SurrogateModel, box):
         offsets = np.exp(np.linspace(-half_width, half_width, n_loc))
         mloc = np.clip(m_c * offsets, m_lo, m_hi)[:, None]
         ploc = np.clip(p_c * offsets, max(p_lo, p_hi * 1e-10), p_hi)[None, :]
-        vloc = _masked_values(model, mloc, ploc)
+        vloc = model.value(mloc, ploc)
         i, j = np.unravel_index(int(np.argmin(vloc)), vloc.shape)
         cand = (float(mloc[i, 0]), float(ploc[0, j]), float(vloc[i, j]))
         if cand[2] < best[2]:
@@ -226,6 +212,8 @@ def run_iteration(links: LinkSet, cfg: SolverConfig) -> AllocationResult:
     m_star = _round_blocklength(links, m_k, p_k)
     pair = links.pair(float(m_star), p_k)
     eps_star = lfp_from_errors(pair.eps_b, pair.eps_e)
+    if m0 == math.floor(m0) and trace.eps0 < eps_star:
+        m_star, p_k, pair, eps_star = int(m0), p0, links.pair(m0, p0), trace.eps0
     return AllocationResult(m_star=m_star, p_star=p_k, eps_lf=float(eps_star),
                             pair=pair, trace=trace)
 

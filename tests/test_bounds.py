@@ -14,7 +14,6 @@ from fblsec.bounds import (
     q_upper,
 )
 from fblsec.core import EveModel, Resources, lfp_at, linkset_for, linkset_single, q
-from fblsec.errors import DegenerateLocalPointError
 
 from conftest import make_scenario
 
@@ -62,28 +61,32 @@ def test_am_gm_rejects_nonpositive():
 def test_exp_bound_coeffs_at_zero():
     cf = exp_bound_coeffs(0.0)
     assert cf.a == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-14)
-    assert cf.b == pytest.approx(0.5, rel=1e-14)
-    assert cf.c == pytest.approx(0.0, abs=1e-15)
+    assert cf.omega_hat == 0.0
+    assert cf.log_q == pytest.approx(math.log(0.5), rel=1e-14)
 
 
 def test_exp_bound_anchor_identity():
     for wh in [-3.0, -1.0, 1.0, 3.0]:
         cf = exp_bound_coeffs(wh)
-        assert cf.b * math.exp(-cf.a * wh) + cf.c == pytest.approx(q(wh), abs=1e-12)
+        assert math.exp(cf.log_q - cf.a * (wh - cf.omega_hat)) == pytest.approx(
+            q(wh), abs=1e-12)
         assert q_upper(wh, cf) == pytest.approx(q(wh), abs=1e-12)
 
 
 def test_exp_bound_large_anchor_no_overflow():
     cf = exp_bound_coeffs(6.0)
     assert cf.a == pytest.approx(HAZARD_AT_6, rel=1e-13)
-    assert math.isfinite(cf.log_b)
+    assert math.isfinite(cf.log_q)
     assert q_upper(6.0, cf) == pytest.approx(q(6.0), rel=1e-12)
-    # far saturated anchors degrade to a constant bound instead of overflowing
+    # far saturated anchors keep finite coefficients instead of overflowing
     cf_deep = exp_bound_coeffs(60.0)
-    assert math.isfinite(cf_deep.a)
+    assert math.isfinite(cf_deep.a) and math.isfinite(cf_deep.log_q)
     assert q_upper(60.0, cf_deep) == pytest.approx(q(60.0), abs=1e-15)
+    # below the hazard rate's underflow the bound is the constant Q = 1
     cf_neg = exp_bound_coeffs(-60.0)
+    assert cf_neg.a == 0.0
     assert q_upper(-60.0, cf_neg) == pytest.approx(1.0, abs=1e-12)
+    assert q_upper(60.0, cf_neg) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_q_upper_dominates_everywhere(rng):
@@ -94,14 +97,6 @@ def test_q_upper_dominates_everywhere(rng):
         vals = q_upper(omegas, cf)
         assert np.all(vals >= q(omegas) - 1e-12)
         assert q_upper(float(wh), cf) == pytest.approx(q(float(wh)), abs=1e-9)
-
-
-def test_q_upper_limit_constant_nonnegative():
-    for wh in np.linspace(-6, 6, 25):
-        cf = exp_bound_coeffs(float(wh))
-        assert cf.c >= -1e-12
-        # the bound's large-omega limit dominates Q(inf) = 0
-        assert q_upper(80.0, cf) >= -1e-12
 
 
 def test_one_minus_q_upper_symmetry_and_dominance():
@@ -190,40 +185,39 @@ def test_reliability_term_convex_in_resources(default_scenario, rng):
 
 
 def test_approx_lfp_is_inf_where_the_reliability_coefficient_underflows():
-    """At an anchor where every error is tiny, eps_b_hat * eps_e_hat
-    underflows to 0; where that term's ratio mean overflows, the surrogate
-    reports the vacuous bound as inf (not 0 * inf = nan), with no warning."""
+    """At an anchor where every error is tiny (their product underflows to
+    0), the tangents are steep: ten times lower in power the surrogate
+    exceeds the largest double, and it reports the vacuous bound as inf,
+    never nan, with no warning."""
     sc = make_scenario(z_b=2.5)
     lp = local_point(sc, Resources(m=1000.0, p=0.3))
+    assert lp.eps_b_hat * lp.eps_e_hat == 0.0
     model = SurrogateModel(linkset_for(sc), lp.m_hat, lp.p_hat)
-    assert model.coefs[0] == 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert approx_lfp(1000.0, 0.03, sc, lp) == math.inf
+        value = approx_lfp(1000.0, 0.03, sc, lp)
         values = model.value(np.array([1000.0, 1000.0]), np.array([0.03, 0.3]))
-    assert values[0] == math.inf
+    assert value == math.inf
+    assert value >= lfp_at(sc, Resources(1000.0, 0.03))[0]
+    assert values[0] == value
     assert values[1] == model.anchor_value
-    assert lfp_at(sc, Resources(1000.0, 0.03))[0] < 1.0
 
 
-def test_approx_lfp_rejects_degenerate_local_point(default_scenario):
-    lp = local_point(default_scenario, Resources(m=320.0, p=0.1))
-    bad = type(lp)(lp.m_hat, lp.p_hat, 0.0, lp.eps_e_hat)
-    with pytest.raises(DegenerateLocalPointError):
-        approx_lfp(300.0, 0.1, default_scenario, bad)
-
-
-def test_local_point_floors_saturated_probabilities(default_scenario):
-    # huge resources: both raw probabilities underflow; the anchor keeps them
-    # strictly inside (0, 1)
-    lp = local_point(default_scenario, Resources(m=3000.0, p=10.0))
-    assert 0.0 < lp.eps_b_hat < 1.0
-    assert 0.0 < lp.eps_e_hat < 1.0
+def test_approx_lfp_tight_at_a_saturated_anchor(default_scenario):
+    """Huge resources: both errors underflow to 0 at the anchor, and the
+    surrogate there is still finite and equals the LFP."""
+    res = Resources(m=3000.0, p=10.0)
+    lp = local_point(default_scenario, res)
+    assert lp.eps_b_hat == 0.0 and lp.eps_e_hat == 0.0
+    value = approx_lfp(res.m, res.p, default_scenario, lp)
+    assert math.isfinite(value)
+    assert value == lfp_at(default_scenario, res)[0]
 
 
 def test_composite_terms_reduce_to_pair_formula(default_scenario):
-    """For one eavesdropper the composite equals the two-factor product bound
-    plus the leakage bound, written with the anchored ratio weights."""
+    """For one eavesdropper the surrogate is the product of Bob's and Eve's
+    log-tangent error bounds plus Eve's leakage bound, written out from the
+    coefficients (a, omega_hat, log_q)."""
     res = Resources(m=400.0, p=0.08)
     lp = local_point(default_scenario, res)
     model = _anchor_model(default_scenario, lp)
@@ -234,19 +228,15 @@ def test_composite_terms_reduce_to_pair_formula(default_scenario):
     we = omega(snr(default_scenario.single_eve, p), default_scenario.d, m)
     assert len(model.terms_at([wb, we])) == 2
     val = model.value_at([wb, we])
-    eb_hat = q_upper(wb, model.err_coeffs[0])
-    ee_hat = q_upper(we, model.err_coeffs[1])
-    d_hat = one_minus_q_upper(we, model.leak_coeffs[0])
-    manual = (lp.eps_e_hat / (4.0 * lp.eps_b_hat)) * (
-        eb_hat + lp.eps_b_hat / lp.eps_e_hat * ee_hat
-    ) ** 2 + d_hat
+    cb, ce = model.err_coeffs
+    (cl,) = model.leak_coeffs
+    assert cl.omega_hat == -ce.omega_hat
+    manual = math.exp(cb.log_q - cb.a * (wb - cb.omega_hat)
+                      + ce.log_q - ce.a * (we - ce.omega_hat)) \
+        + math.exp(cl.log_q - cl.a * (-we - cl.omega_hat))
     assert val == pytest.approx(manual, rel=1e-12)
-
-
-def _anchor_probability(w):
-    """An error probability at an anchor exponent, floored away from exact 0
-    and 1 the way the surrogate's anchor values are."""
-    return min(max(q(w), 1e-300), float(np.nextafter(1.0, 0.0)))
+    assert math.exp(cb.log_q) * math.exp(ce.log_q) == pytest.approx(
+        lp.eps_b_hat * lp.eps_e_hat, rel=1e-12)
 
 
 @pytest.mark.parametrize("eve_gains,eve_model", [
@@ -257,10 +247,11 @@ def _anchor_probability(w):
     ((0.8, 0.9), EveModel.SUPER),
 ])
 def test_terms_are_mean_bounds_of_their_factors(eve_gains, eve_model, rng):
-    """The reliability term is the mean bound of Bob's and every
-    eavesdropper's error bound, and leakage term n that of eavesdropper n's
-    leakage bound and the error bounds of eavesdroppers n+1..N, each over its
-    anchor value; the surrogate is the sum of the terms."""
+    """The reliability term is the product of Bob's and every eavesdropper's
+    error bound, and leakage term n that of eavesdropper n's leakage bound
+    and the error bounds of eavesdroppers n+1..N; each term is at most the
+    mean bound of the same factors over their anchor values and matches it
+    at the anchor, and the surrogate is the sum of the terms."""
     links = linkset_for(make_scenario(z_b=2.5, eve_gains=eve_gains,
                                       eve_model=eve_model))
     n_eves = len(links.channels) - 1
@@ -273,8 +264,12 @@ def test_terms_are_mean_bounds_of_their_factors(eve_gains, eve_model, rng):
             continue  # far from the valley the bounds saturate
         anchors += 1
         model = SurrogateModel(links, m_hat, p_hat)
-        eps_hats = [_anchor_probability(w) for w in w_hats]
-        delta_hats = [max(1.0 - e, 1e-300) for e in eps_hats[1:]]
+        eps_hats = [q(w) for w in w_hats]
+        delta_hats = [q(-w) for w in w_hats[1:]]
+        hat_sets = [eps_hats] + [[delta_hats[n]] + eps_hats[n + 2:]
+                                 for n in range(n_eves)]
+        for got, want in zip(model.terms_at(w_hats), hat_sets):
+            assert got == pytest.approx(am_gm_upper(want, want), rel=1e-12)
         err_cf = [exp_bound_coeffs(w) for w in w_hats]
         leak_cf = [exp_bound_coeffs(-w) for w in w_hats[1:]]
         for _ in range(5):
@@ -285,14 +280,12 @@ def test_terms_are_mean_bounds_of_their_factors(eve_gains, eve_model, rng):
             leak = [one_minus_q_upper(w, cf) for w, cf in zip(ws[1:], leak_cf)]
             if min(err + leak) <= 0.0:
                 continue  # am_gm_upper needs positive factors
-            expected = [am_gm_upper(err, eps_hats)]
-            expected += [am_gm_upper([leak[n]] + err[n + 2:],
-                                     [delta_hats[n]] + eps_hats[n + 2:])
-                         for n in range(n_eves)]
+            factor_sets = [err] + [[leak[n]] + err[n + 2:] for n in range(n_eves)]
             terms = model.terms_at(ws)
             assert len(terms) == n_eves + 1
-            for got, want in zip(terms, expected):
-                assert got == pytest.approx(want, rel=1e-12)
+            for got, factors, hats in zip(terms, factor_sets, hat_sets):
+                assert got == pytest.approx(math.prod(factors), rel=1e-12)
+                assert got <= am_gm_upper(factors, hats) * (1.0 + 1e-12)
             assert model.value(m, p) == sum(terms)
             checked += 1
     assert checked >= 80

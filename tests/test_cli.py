@@ -141,6 +141,45 @@ def test_sweep_error_rows_continue(tmp_path, capsys):
     assert err_lines[0].startswith("fblsec sweep: value 1: InfeasibleError: ")
 
 
+def test_failed_baseline_keeps_the_joint_row(tmp_path, capsys):
+    """A value whose fixed-leakage baseline is infeasible keeps its joint
+    row and gets one error row plus one stderr line."""
+    cfg = base_config(sweep={
+        "variable": "z_e",
+        "values": [1.0, 1e6],
+        "mode": "joint",
+        "baseline": {"fixed_leakage": {"delta_cap": 1e-3}},
+    })
+    cfg["scenario"].update(d=1, m_cap=300)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+    assert [(r[0], r[1]) for r in rows] == [
+        ("1", "fixed_leakage"), ("1", "joint"),
+        ("1000000", "error"), ("1000000", "joint")]
+    assert rows[2][2:] == ["", "", "", ""]
+    assert float(rows[3][4]) == 1.0
+    err_lines = capsys.readouterr().err.strip().split("\n")
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith("fblsec sweep: value 1000000: InfeasibleError: ")
+
+
+def test_solve_colluders_with_different_noise_powers(tmp_path):
+    """Colluders with different noise powers are solved on one link whose
+    SNR is the sum of theirs."""
+    cfg = base_config(solver={})
+    cfg["scenario"].update(eve_model="super", eves=[
+        {"gain": 1.0, "noise_power": 0.1}, {"gain": 0.5, "noise_power": 0.2}])
+    out = tmp_path / "trace.csv"
+    assert main(["solve", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+    finals = [r for r in rows if r[0] == "final"]
+    assert len(finals) == 1
+    assert 0.0 < float(finals[0][5]) < 1.0
+
+
 def test_throughput_sweep_defaults_power_to_each_p_cap(tmp_path):
     cfg = base_config(sweep={
         "variable": "p_cap",

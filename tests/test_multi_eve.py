@@ -58,14 +58,24 @@ def test_super_links_sum_gains():
     assert [e.gain for e in linkset_for(single).channels[1:]] == [0.7]
 
 
-def test_super_links_require_shared_noise():
+@pytest.mark.parametrize("eves", [
+    (ChannelSpec(1.0, 0.1), ChannelSpec(1.0, 0.2)),
+    (ChannelSpec(1.0, 0.1), ChannelSpec(2.0, 0.2), ChannelSpec(0.5, 0.4)),
+    (ChannelSpec(0.3, 0.7), ChannelSpec(1.1, 0.3)),
+])
+def test_super_links_sum_snrs(eves):
+    """Maximum-ratio combining adds the colluders' SNRs, so the collapsed
+    link's gain to noise ratio is sum(g_i / n_i), whatever their noise
+    powers; the passive model keeps every link."""
     sc = make_scenario(eve_gains=[1.0, 2.0])
     assert [e.gain for e in linkset_for(sc).channels[1:]] == [1.0, 2.0]
     colluding = sc.with_updates(eve_model=EveModel.SUPER)
     assert [e.gain for e in linkset_for(colluding).channels[1:]] == [3.0]
-    mixed = colluding.with_updates(eves=(ChannelSpec(1.0, 0.1), ChannelSpec(1.0, 0.2)))
-    with pytest.raises(ValueError):
-        linkset_for(mixed)
+    links = linkset_for(colluding.with_updates(eves=eves))
+    (eve,) = links.channels[1:]
+    assert eve.noise_power == eves[0].noise_power
+    assert links.k[1] == pytest.approx(sum(e.gain / e.noise_power for e in eves),
+                                       rel=1e-15)
 
 
 AGREEMENT_CASES = [
@@ -129,12 +139,12 @@ def test_approx_passive_tight_at_anchor():
 @pytest.mark.parametrize("m,p", [(350.0, 0.08), (3000.0, 10.0)])
 def test_local_point_anchors_passive_surrogate(m, p):
     """local_point anchors a 3-eavesdropper passive scenario: eps_e_hat is
-    the product of the eavesdroppers' errors floored at 1e-300 (the second
-    anchor's product underflows), and the passive surrogate is tight there."""
+    the product of the eavesdroppers' errors (at the second anchor it
+    underflows to 0), and the passive surrogate is tight there."""
     sc = make_scenario(eve_gains=[1.0, 0.8, 0.6])
     lp = local_point(sc, Resources(m, p))
     errors = [fbl_error(snr(e, p), sc.d, m) for e in sc.eves]
-    assert lp.eps_e_hat == pytest.approx(max(float(np.prod(errors)), 1e-300), rel=1e-12)
+    assert lp.eps_e_hat == pytest.approx(float(np.prod(errors)), rel=1e-12)
     assert approx_lfp(m, p, sc, lp) == pytest.approx(
         scenario_lfp(sc, Resources(m, p)), abs=1e-9
     )
