@@ -151,7 +151,7 @@ class SurrogateModel:
         self.links = links
         self.m_hat = float(m_hat)
         self.p_hat = float(p_hat)
-        whats = [float(w) for w in links.omegas(m_hat, p_hat)]
+        whats = links.omegas(m_hat, p_hat).tolist()
         self.err_coeffs = [exp_bound_coeffs(w) for w in whats]
         self.leak_coeffs = [exp_bound_coeffs(-w) for w in whats[1:]]
         self.anchor_value = self.value(m_hat, p_hat)

@@ -23,6 +23,7 @@ from .core import (
     Scenario,
     fbl_error_over_gains,
     lfp_from_errors,
+    linkset_for,
     linkset_single,
 )
 from .errors import InfeasibleError
@@ -201,15 +202,16 @@ def solve_fixed_leakage(scenario: Scenario, delta_cap: float,
 
     Equivalent to pure reliability maximization once the leakage budget is
     pinned; the achieved LFP is reported for comparison against the joint
-    optimum.  The box is scanned and refined with oracle.refine_argmin (one
-    power point means p_cap alone): Bob's error falls and the leakage rises
-    in m and p, so a tile's error is at least its value at (m_hi, p_hi), and
-    the whole tile breaks the cap when its leakage at (m_lo, p_lo) does.  The
-    result equals a scan of every cell.  ValueError unless delta_cap lies in
-    (0, 0.5], p_points >= 1 and refine_rounds >= 0."""
+    optimum.  The leakage is one minus the product of the eavesdroppers'
+    errors under the scenario's model.  The box is scanned and refined with
+    oracle.refine_argmin (one power point means p_cap alone): every link's
+    error falls in m and p, so Bob's error on a tile is at least its value at
+    (m_hi, p_hi), and the whole tile breaks the cap when its leakage at
+    (m_lo, p_lo) does.  The result equals a scan of every cell.  ValueError
+    unless delta_cap lies in (0, 0.5], p_points >= 1 and refine_rounds >= 0."""
     _check_cap("delta_cap", delta_cap)
     GridSpec(p_points=p_points, refine_rounds=refine_rounds)  # checks both counts
-    links = linkset_single(scenario)
+    links = linkset_for(scenario)
     p_min = p_min if p_min is not None else scenario.p_cap * 1e-6
     if not 0.0 < p_min <= scenario.p_cap:
         raise ValueError(f"p_min must lie in (0, p_cap], got {p_min}")

@@ -3,8 +3,8 @@ function and its inverse, the decoding exponent, per-link error probabilities,
 and the leakage-failure probability that combines them.  LinkSet evaluates
 them over all links of a scenario at once; every LFP evaluator goes through it.
 
-All probability outputs are clamped to [0, 1].  Functions accept numpy arrays
-wherever that is natural; scalar floats come back for scalar inputs.
+Functions accept numpy arrays wherever that is natural; scalar floats come
+back for scalar inputs.
 """
 
 from __future__ import annotations
@@ -155,15 +155,15 @@ def dispersion(gamma):
 
 
 def q(x):
-    """Gaussian tail probability Q(x), via the complementary error function.
-
-    Tails beyond |x| = 38 are clamped to exactly 0 or 1.
-    """
+    """Gaussian tail probability Q(x) = erfc(x / sqrt 2) / 2, in [0, 1].
+    Only the upper tail is clamped, to exactly 0 beyond x = 38: the lower
+    one is already exactly 1 for every x <= -8.3."""
     xv = np.asarray(x, dtype=float)
+    out = np.divide(xv, _SQRT2, out=np.empty_like(xv))
     with np.errstate(under="ignore"):
-        out = 0.5 * erfc(xv / _SQRT2)
-    out = np.where(xv > _TAIL_CLAMP, 0.0, out)
-    out = np.where(xv < -_TAIL_CLAMP, 1.0, out)
+        erfc(out, out=out)
+    out *= 0.5
+    np.putmask(out, xv > _TAIL_CLAMP, 0.0)
     return out if np.ndim(x) else float(out)
 
 
@@ -204,9 +204,7 @@ def _omega(g, d, m):
 
 def fbl_error(gamma, d, m):
     """Decoding error probability of a length-m code carrying d bits at SNR gamma."""
-    w = omega(gamma, d, m)
-    out = np.clip(q(w), 0.0, 1.0)
-    return out if np.ndim(out) else float(out)
+    return q(omega(gamma, d, m))
 
 
 def lfp(pair: ReliabilityPair) -> float:
@@ -226,7 +224,10 @@ def lfp_from_errors(eps_b, eps_e):
 
 class LinkSet:
     """Bob plus N eavesdropper links of one scenario, with vectorized exponent
-    and LFP evaluation.  Index 0 is Bob."""
+    and LFP evaluation.
+
+    The links lie on one leading axis, Bob at index 0: omegas and errors
+    return an (N + 1, *broadcast(m, p).shape) array from one kernel call."""
 
     def __init__(self, d: int, bob: ChannelSpec, eves: Sequence[ChannelSpec],
                  m_cap: int, p_cap: float):
@@ -238,24 +239,21 @@ class LinkSet:
         if np.any(self.k <= 0.0):
             raise InfeasibleError("every link needs a positive gain to noise ratio")
 
-    def omega_link(self, idx: int, m, p):
-        return _omega(self.k[idx] * np.asarray(p, dtype=float), self.d,
-                      np.asarray(m, dtype=float))
+    def omegas(self, m, p) -> np.ndarray:
+        mv = np.asarray(m, dtype=float)
+        pv = np.asarray(p, dtype=float)
+        k = self.k.reshape((-1,) + (1,) * max(mv.ndim, pv.ndim))
+        return _omega(k * pv, self.d, mv)
 
-    def omegas(self, m, p) -> list:
-        return [self.omega_link(i, m, p) for i in range(len(self.channels))]
-
-    def errors(self, m, p) -> list:
-        return [np.clip(q(w), 0.0, 1.0) for w in self.omegas(m, p)]
+    def errors(self, m, p) -> np.ndarray:
+        return q(self.omegas(m, p))
 
     def eps_pair(self, m, p):
         """(eps_b, eps_e): Bob's error and the joint failure of the
-        eavesdroppers, the product of their errors."""
+        eavesdroppers, the product of their errors in index order (1 when
+        there are none)."""
         errs = self.errors(m, p)
-        eps_e = errs[1]
-        for e in errs[2:]:
-            eps_e = eps_e * e
-        return errs[0], eps_e
+        return errs[0], np.multiply.reduce(errs[1:], axis=0)
 
     def lfp(self, m, p):
         """Actual LFP: passive combination across all eavesdropper links
@@ -334,5 +332,5 @@ def fbl_error_over_gains(gains, noise_power: float, p: float, d: int, m):
     pos = np.broadcast_to(z > 1e-300, out.shape)
     g = np.broadcast_to(z * p / noise_power, out.shape)[pos]
     mv = np.broadcast_to(np.asarray(m, dtype=float), out.shape)[pos]
-    out[pos] = np.clip(q(_omega(g, d, mv)), 0.0, 1.0)
+    out[pos] = q(_omega(g, d, mv))
     return out

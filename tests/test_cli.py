@@ -165,6 +165,33 @@ def test_failed_baseline_keeps_the_joint_row(tmp_path, capsys):
     assert err_lines[0].startswith("fblsec sweep: value 1000000: InfeasibleError: ")
 
 
+def test_n_eves_sweep_runs_the_baseline_on_every_set(tmp_path, capsys):
+    """The fixed-leakage baseline runs on passive sets of any size: an
+    n_eves sweep gives a fixed_leakage row next to each joint row, and each
+    baseline allocation meets the cap on the product of the eavesdroppers'
+    errors."""
+    cfg = base_config(sweep={
+        "variable": "n_eves",
+        "values": [1, 2, 3],
+        "mode": "joint",
+        "baseline": {"fixed_leakage": {"delta_cap": 1e-3}},
+    })
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+    assert [(r[0], r[1]) for r in rows] == [
+        (n, src) for n in ("1", "2", "3") for src in ("fixed_leakage", "joint")]
+    base = scenario_from_config(cfg)
+    for r in rows[::2]:
+        links = linkset_for(base.with_updates(eves=base.eves * int(r[0])))
+        m, p = float(r[2]), float(r[3])
+        eps_b, eps_e = links.eps_pair(m, p)
+        assert 1.0 - eps_e <= 1e-3
+        assert float(r[4]) == lfp_from_errors(eps_b, eps_e)
+
+
 def test_solve_colluders_with_different_noise_powers(tmp_path):
     """Colluders with different noise powers are solved on one link whose
     SNR is the sum of theirs."""

@@ -19,17 +19,28 @@ from fblsec.constrained import (
     solve_blocklength_statistical,
     solve_fixed_leakage,
 )
-from fblsec.core import Resources, capacity, fbl_error, lfp_at, snr
+from fblsec.core import EveModel, Resources, capacity, fbl_error, lfp_at, snr
 from fblsec.errors import InfeasibleError
-from fblsec.multi_eve import solve_multi
+from fblsec.multi_eve import scenario_lfp, solve_multi
 
 from conftest import feasible_threshold_cases, make_scenario
+
+
+def _dense_eps_e(scenario, ps, ms):
+    """The eavesdroppers' joint error: the product of their fbl_error values
+    in index order (passive), or the fbl_error of their summed SNR
+    (colluders)."""
+    if scenario.eve_model is EveModel.SUPER:
+        return fbl_error(sum(snr(e, ps) for e in scenario.eves), scenario.d, ms)
+    eps_e = fbl_error(snr(scenario.eves[0], ps), scenario.d, ms)
+    for eve in scenario.eves[1:]:
+        eps_e = eps_e * fbl_error(snr(eve, ps), scenario.d, ms)
+    return eps_e
 
 
 def _dense_fixed_leakage(scenario, cap, p_points, refine_rounds, p_min=None):
     """Reference for solve_fixed_leakage: every cell of every round's grid in
     one array, with the same zoom and lexicographic tie-break."""
-    eve = scenario.single_eve
     p_min = p_min if p_min is not None else scenario.p_cap * 1e-6
     p_lo, p_hi = p_min, scenario.p_cap
     ms = np.arange(1, scenario.m_cap + 1, dtype=float)[:, None]
@@ -37,7 +48,7 @@ def _dense_fixed_leakage(scenario, cap, p_points, refine_rounds, p_min=None):
     for _ in range(refine_rounds + 1):
         ps = (np.array([p_hi]) if p_points == 1
               else np.geomspace(p_lo, p_hi, p_points))[None, :]
-        eps_e = fbl_error(snr(eve, ps), scenario.d, ms)
+        eps_e = _dense_eps_e(scenario, ps, ms)
         eps_b = fbl_error(snr(scenario.bob, ps), scenario.d, ms)
         masked = np.where(1.0 - eps_e <= cap, eps_b, np.inf)
         i, j = np.unravel_index(int(np.argmin(masked)), masked.shape)
@@ -50,8 +61,7 @@ def _dense_fixed_leakage(scenario, cap, p_points, refine_rounds, p_min=None):
         width = (p_hi / p_lo) ** 0.1
         p_lo = max(p_min, best[2] / width)
         p_hi = min(scenario.p_cap, best[2] * width)
-    v, _ = lfp_at(scenario, Resources(float(best[1]), best[2]))
-    return best[1], best[2], v
+    return best[1], best[2], scenario_lfp(scenario, Resources(float(best[1]), best[2]))
 
 
 def _scan_values(scenario, p, interval):
@@ -222,7 +232,22 @@ FIXED_LEAKAGE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("kwargs,cap,p_points,rounds,p_min", FIXED_LEAKAGE_CASES)
+FIXED_LEAKAGE_MULTI_CASES = [
+    pytest.param(dict(z_b=2.0, eve_gains=(1.0, 0.5, 0.8)), 1e-3, 200, 2, None,
+                 id="passive-3"),
+    pytest.param(dict(z_b=2.5, d=700, m_cap=1500, eve_gains=(1.0, 0.9, 0.7, 0.5)),
+                 1e-6, 80, 3, None, id="passive-4-d=700"),
+    pytest.param(dict(z_b=3.0, eve_gains=tuple(np.linspace(1.0, 0.3, 8))), 0.2,
+                 60, 1, 1e-2, id="passive-8"),
+    pytest.param(dict(z_b=2.49, eve_gains=(0.79, 0.91), eve_model=EveModel.SUPER),
+                 1e-3, 200, 2, None, id="colluding-pair"),
+    pytest.param(dict(z_b=4.0, d=200, m_cap=900, eve_gains=(0.5, 0.4, 0.3),
+                      eve_model=EveModel.SUPER), 1e-9, 40, 3, None, id="colluding-3"),
+]
+
+
+@pytest.mark.parametrize("kwargs,cap,p_points,rounds,p_min",
+                         FIXED_LEAKAGE_CASES + FIXED_LEAKAGE_MULTI_CASES)
 def test_fixed_leakage_equals_dense_scan(kwargs, cap, p_points, rounds, p_min):
     sc = make_scenario(**kwargs)
     assert (solve_fixed_leakage(sc, cap, p_points=p_points, refine_rounds=rounds,

@@ -238,10 +238,49 @@ def test_exponent_strictly_increasing_on_grids(d):
     links = LinkSet(sc.d, sc.bob, sc.eves, sc.m_cap, sc.p_cap)
     ms = np.arange(1, sc.m_cap + 1, dtype=float)[:, None]
     ps = np.geomspace(sc.p_cap * 1e-6, sc.p_cap, 400)[None, :]
+    stacked = links.omegas(ms, ps)
     for idx, ch in enumerate(links.channels):
-        for w in (omega(snr(ch, ps), sc.d, ms), links.omega_link(idx, ms, ps)):
+        for w in (omega(snr(ch, ps), sc.d, ms), stacked[idx]):
             assert np.all(np.diff(w, axis=0) > 0.0)
             assert np.all(np.diff(w, axis=1) > 0.0)
+
+
+@pytest.mark.parametrize("n_eves", [0, 1, 3, 8])
+def test_stacked_kernel_matches_per_link_evaluation(n_eves):
+    """omegas, errors and eps_pair put every link on one leading axis and
+    equal the per-link omega(snr(ch, p), d, m), q and the product of the
+    eavesdroppers' errors in index order, bit for bit, on a 2-D broadcast
+    grid; a scalar (m, p) equals the grid at the same cell.  Noise powers
+    are powers of two, so snr's p * gain / noise and the set's
+    (gain / noise) * p round alike.  Zero eavesdroppers is Bob's link alone,
+    the statistical-CSI set, whose joint failure is the empty product 1."""
+    gains = np.linspace(2.0, 0.3, n_eves)
+    noises = (0.125, 0.25, 0.5, 1.0)
+    bob = ChannelSpec(3.7, 0.125)
+    eves = [ChannelSpec(float(g), noises[i % 4]) for i, g in enumerate(gains)]
+    links = LinkSet(320, bob, eves, 3000, 10.0)
+    ms = np.geomspace(1.0, 3000.0, 97)[:, None]
+    ps = np.geomspace(1e-6, 10.0, 113)[None, :]
+    ws = links.omegas(ms, ps)
+    errs = links.errors(ms, ps)
+    eps_b, eps_e = links.eps_pair(ms, ps)
+    assert ws.shape == errs.shape == (n_eves + 1, 97, 113)
+    expected_e = np.ones((97, 113))
+    for idx, ch in enumerate(links.channels):
+        w = omega(snr(ch, ps), 320, ms)
+        assert np.array_equal(ws[idx], w)
+        assert np.array_equal(errs[idx], q(w))
+        if idx:
+            expected_e = expected_e * q(w)
+    assert np.array_equal(eps_b, errs[0])
+    assert np.array_equal(eps_e, expected_e)
+    for i, j in ((0, 0), (40, 7), (96, 112), (63, 90)):
+        m, p = float(ms[i, 0]), float(ps[0, j])
+        assert np.array_equal(links.omegas(m, p), ws[:, i, j])
+        assert np.array_equal(links.errors(m, p), errs[:, i, j])
+        b, e = links.eps_pair(m, p)
+        assert (b, e) == (eps_b[i, j], eps_e[i, j])
+        assert links.lfp(m, p) == 1.0 - (1.0 - eps_b[i, j]) * eps_e[i, j]
 
 
 def test_scenario_validation():

@@ -173,10 +173,12 @@ def test_stronger_bob_variant_matches_oracle():
                    id=f"z_b={z_b}-d=700-passive-{n}")
       for z_b in (1.5, 2.0, 2.5) for n in (3, 8)],
     dict(z_b=4.0, d=320),
+    pytest.param(dict(z_b=2.0, d=320, eve_gains=tuple(np.linspace(1.0, 0.3, 32))),
+                 id="thirty-two-passive"),
 ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
 def test_solver_matches_oracle_across_regimes(kwargs):
     """Single-eavesdropper corners and interior points, a colluding pair and
-    passive sets of 2 to 8 eavesdroppers (among them the long packets where
+    passive sets of 2 to 32 eavesdroppers (among them the long packets where
     the weakest eavesdroppers' errors sit at one) land within 1e-3 relative
     of the exhaustive benchmark."""
     from fblsec.oracle import GridSpec, exhaustive_min_lfp
