@@ -1,11 +1,15 @@
 """Blocklength allocation under explicit reliability and security thresholds,
 the fixed-leakage baseline, and the statistical-CSI expectation of the LFP.
 
-With power fixed, the error probability falls and the leakage rises in the
-blocklength, so each threshold cuts one end of an integer feasibility
-interval.  Inside that interval the LFP is convex in the blocklength and the
-effective secrecy throughput is quasi-concave, so integer golden-section
-search recovers the exact optimizer.
+With power fixed, every link's error probability falls in the blocklength,
+so Bob's error falls and the leakage (one minus the product of the
+eavesdroppers' errors) rises, and each threshold cuts one end of an integer
+feasibility interval.  The searches run on the scenario's own eavesdropper
+model (core.linkset_for).  For one eavesdropper (colluders collapse to one)
+the LFP is proven convex in the blocklength inside that interval and the
+effective secrecy throughput quasi-concave, so integer golden-section search
+recovers the exact optimizer; for passive sets no such proof is at hand, and
+the test suite checks the search results against dense scans of the interval.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from .core import (
     fbl_error_over_gains,
     lfp_from_errors,
     linkset_for,
-    linkset_single,
 )
 from .errors import InfeasibleError
 from .oracle import GridSpec, golden_section_max, refine_argmin
@@ -157,14 +160,14 @@ def _window(links: LinkSet, p: float, th: Thresholds,
 def feasible_m_interval(scenario: Scenario, p: float, th: Thresholds
                         ) -> Optional[Tuple[int, int]]:
     """Integer blocklengths meeting both thresholds at fixed power, or None."""
-    return _window(linkset_single(scenario), p, th)
+    return _window(linkset_for(scenario), p, th)
 
 
 def solve_blocklength(scenario: Scenario, p: float, th: Thresholds
                       ) -> Tuple[int, float]:
     """Minimize the LFP over the feasible blocklength interval by unimodal
-    integer search (the LFP is convex in the blocklength there)."""
-    links = linkset_single(scenario)
+    integer search (the LFP is unimodal in the blocklength there)."""
+    links = linkset_for(scenario)
     interval = _window(links, p, th)
     if interval is None:
         raise InfeasibleError("no blocklength satisfies both thresholds")
@@ -177,7 +180,7 @@ def maximize_throughput(scenario: Scenario, p: float, th: Thresholds
                         ) -> Tuple[int, float]:
     """Maximize the effective secrecy throughput (d/m) * (1 - LFP) over the
     feasible interval; the objective is quasi-concave in the blocklength."""
-    links = linkset_single(scenario)
+    links = linkset_for(scenario)
     interval = _window(links, p, th)
     if interval is None:
         raise InfeasibleError("no blocklength satisfies both thresholds")

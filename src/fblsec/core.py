@@ -103,7 +103,8 @@ class Scenario:
     def single_eve(self) -> ChannelSpec:
         if len(self.eves) != 1:
             raise ValueError(
-                "scenario has multiple eavesdroppers; use the multi_eve module"
+                "scenario has multiple eavesdroppers; only the statistical-CSI "
+                "searches need exactly one"
             )
         return self.eves[0]
 
@@ -265,12 +266,6 @@ class LinkSet:
         return ReliabilityPair(eps_b=float(eps_b), eps_e=float(eps_e))
 
 
-def linkset_single(scenario: Scenario) -> LinkSet:
-    """Link set of a single-eavesdropper scenario (ValueError otherwise)."""
-    return LinkSet(scenario.d, scenario.bob, (scenario.single_eve,),
-                   scenario.m_cap, scenario.p_cap)
-
-
 def linkset_for(scenario: Scenario) -> LinkSet:
     """Link set realizing the scenario's eavesdropper model: the super model
     collapses the colluders to one link whose SNR is the sum of theirs
@@ -285,8 +280,11 @@ def linkset_for(scenario: Scenario) -> LinkSet:
 
 
 def lfp_at(scenario: Scenario, res: Resources) -> Tuple[float, ReliabilityPair]:
-    """Evaluate the LFP of a single-eavesdropper scenario at an allocation."""
-    pair = linkset_single(scenario).pair(res.m, res.p)
+    """The LFP of a scenario under its own eavesdropper model at an
+    allocation, and the (eps_b, eps_e) pair it combines; eps_e is the joint
+    failure of the eavesdroppers (multi_eve.scenario_lfp is its first
+    element)."""
+    pair = linkset_for(scenario).pair(res.m, res.p)
     return lfp(pair), pair
 
 
@@ -322,15 +320,12 @@ def secrecy_rate(gamma_b: float, gamma_e: float, m: float,
 
 
 def fbl_error_over_gains(gains, noise_power: float, p: float, d: int, m):
-    """fbl_error evaluated across an array of channel gains, with the zero-gain
-    limit (error probability 1) filled in for vanishing entries.
+    """fbl_error evaluated across an array of channel gains, zero included.
 
     Used by the fading expectation, where gain draws can be arbitrarily small.
+    Wherever 1 + gamma rounds to 1 the dispersion is 0, the exponent is -inf
+    and the error is its zero-SNR limit, exactly 1.
     """
-    z = np.asarray(gains, dtype=float)
-    out = np.ones(np.broadcast_shapes(z.shape, np.shape(m)), dtype=float)
-    pos = np.broadcast_to(z > 1e-300, out.shape)
-    g = np.broadcast_to(z * p / noise_power, out.shape)[pos]
-    mv = np.broadcast_to(np.asarray(m, dtype=float), out.shape)[pos]
-    out[pos] = q(_omega(g, d, mv))
-    return out
+    g = np.asarray(gains, dtype=float) * p / noise_power
+    with np.errstate(divide="ignore"):
+        return q(_omega(g, d, np.asarray(m, dtype=float)))

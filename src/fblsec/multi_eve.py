@@ -3,9 +3,10 @@ and the solver for it.
 
 Two collusion models: passive (independent decoders; the packet leaks unless
 every eavesdropper fails) and super (perfect signal sharing: maximum-ratio
-combining, modeled as one eavesdropper whose SNR is the sum of theirs).  core.linkset_for realizes either model
-as a LinkSet, so one evaluator, scenario_lfp, and one solver, solve_multi,
-serve one eavesdropper, passive sets and colluders alike; the surrogate is
+combining, modeled as one eavesdropper whose SNR is the sum of theirs).
+core.linkset_for realizes either model as a LinkSet, so one evaluator,
+core.lfp_at (scenario_lfp is its value), and one solver, solve_multi, serve
+one eavesdropper, passive sets and colluders alike; the surrogate is
 bounds.approx_lfp.  telescope_leakage writes the joint-failure complement
 1 - prod(eps_e) as a sum of nonnegative products, the expansion the
 surrogate bounds term by term.
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .core import Resources, Scenario, linkset_for
+from .core import Resources, Scenario, lfp_at, linkset_for
 from .solver import AllocationResult, SolverConfig, run_iteration
 
 
@@ -34,8 +35,9 @@ def telescope_leakage(eps_e: Sequence[float]) -> float:
 
 
 def scenario_lfp(scenario: Scenario, res: Resources) -> float:
-    """Actual LFP of any scenario under its own eavesdropper model."""
-    return float(linkset_for(scenario).lfp(res.m, res.p))
+    """Actual LFP of any scenario under its own eavesdropper model: the
+    value of core.lfp_at."""
+    return lfp_at(scenario, res)[0]
 
 
 def solve_multi(scenario: Scenario, cfg: SolverConfig | None = None) -> AllocationResult:

@@ -12,7 +12,8 @@ The inner minimizer is a coarse log-grid scan followed by shrinking
 log-space zooms around the incumbent; a scan needs no convexity, so it stays
 reliable where the surrogate's leakage term bends the valley (it is not
 globally convex).  The surrogate is a valid bound at every exponent, so the
-scans range over the whole box.  An integer start whose LFP beats the rounded
+scans range over the whole resource box: the scenario's caps on m and p,
+the box the oracle searches.  An integer start whose LFP beats the rounded
 result is returned instead, so the solve never ends above its start.
 """
 
@@ -26,7 +27,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .bounds import SurrogateModel
-from .convexity import rate_threshold_sweep_max
 from .core import (
     LinkSet,
     ReliabilityPair,
@@ -99,18 +99,9 @@ class AllocationResult:
 # ---------------------------------------------------------------------------
 
 def _resource_box(links: LinkSet) -> Tuple[float, float, float, float]:
-    """Box for the relaxed problem.  The blocklength cap additionally respects
-    the concavity region (rate at least the threshold sweep maximum), which at
-    practical packet sizes is looser than the hard cap."""
-    gamma_max = float(np.max(links.k) * links.p_cap)
-    thr = rate_threshold_sweep_max(max(gamma_max, 1e-3))
-    m_hi = float(links.m_cap)
-    if thr > 0.0:
-        m_hi = min(m_hi, links.d / thr)
-    if m_hi < 1.0:
-        m_hi = float(links.m_cap)
-    p_lo = links.p_cap * _P_FLOOR_FACTOR
-    return 1.0, m_hi, p_lo, links.p_cap
+    """Box (m_lo, m_hi, p_lo, p_hi) for the relaxed problem: blocklengths
+    [1, m_cap] and powers (p_cap * 1e-12, p_cap], the scenario's own caps."""
+    return 1.0, float(links.m_cap), links.p_cap * _P_FLOOR_FACTOR, links.p_cap
 
 
 def minimize_surrogate(model: SurrogateModel, box):
@@ -220,8 +211,8 @@ def run_iteration(links: LinkSet, cfg: SolverConfig) -> AllocationResult:
 
 def _round_blocklength(links: LinkSet, m_relaxed: float, p_star: float) -> int:
     """The integer neighbor of m_relaxed with the smaller LFP at p_star, ties
-    to the smaller; m_relaxed lies in [1, m_hi] of the box and m_hi <= m_cap,
-    so both neighbors are admissible."""
+    to the smaller; m_relaxed lies in [1, m_cap], so both neighbors are
+    admissible."""
     lo, hi = math.floor(m_relaxed), math.ceil(m_relaxed)
     if hi > lo and links.lfp(float(hi), p_star) < links.lfp(float(lo), p_star):
         return hi

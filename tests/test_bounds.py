@@ -13,15 +13,14 @@ from fblsec.bounds import (
     one_minus_q_upper,
     q_upper,
 )
-from fblsec.core import EveModel, Resources, lfp_at, linkset_for, linkset_single, q
+from fblsec.core import EveModel, Resources, lfp_at, linkset_for, q
 
 from conftest import make_scenario
 
 
 def _anchor_model(scenario, lp):
-    """The surrogate of a single-eavesdropper scenario anchored at a local
-    point."""
-    return SurrogateModel(linkset_single(scenario), lp.m_hat, lp.p_hat)
+    """The surrogate of a scenario anchored at a local point."""
+    return SurrogateModel(linkset_for(scenario), lp.m_hat, lp.p_hat)
 
 # hazard rate phi/Q at +6, frozen from a 50-digit oracle
 HAZARD_AT_6 = 6.158482604544598917278

@@ -9,6 +9,7 @@ import pytest
 
 from fblsec import experiments
 from fblsec.cli import main
+from fblsec.constrained import Thresholds, maximize_throughput, solve_blocklength
 from fblsec.core import lfp_from_errors, linkset_for
 from fblsec.experiments import rows_to_csv, scenario_from_config
 
@@ -190,6 +191,29 @@ def test_n_eves_sweep_runs_the_baseline_on_every_set(tmp_path, capsys):
         eps_b, eps_e = links.eps_pair(m, p)
         assert 1.0 - eps_e <= 1e-3
         assert float(r[4]) == lfp_from_errors(eps_b, eps_e)
+
+
+@pytest.mark.parametrize("mode", ["blocklength", "throughput"])
+def test_n_eves_sweep_in_window_modes(tmp_path, capsys, mode):
+    """The blocklength and throughput modes search passive sets of any size:
+    an n_eves sweep gives one row per value, the library's search on that
+    set."""
+    th = {"delta_max": 0.1, "eps_b_max": 0.1}
+    cfg = base_config(sweep={"variable": "n_eves", "values": [1, 2, 3],
+                             "mode": mode, "power": 0.1, "thresholds": th})
+    cfg["scenario"]["bob"]["gain"] = 4.0
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+    assert [(r[0], r[1]) for r in rows] == [(n, mode) for n in ("1", "2", "3")]
+    base = scenario_from_config(cfg)
+    search = solve_blocklength if mode == "blocklength" else maximize_throughput
+    for r in rows:
+        sc = base.with_updates(eves=base.eves * int(r[0]))
+        m_star, _ = search(sc, 0.1, Thresholds(**th))
+        assert (int(r[2]), float(r[3])) == (m_star, 0.1)
 
 
 def test_solve_colluders_with_different_noise_powers(tmp_path):

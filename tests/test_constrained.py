@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,16 @@ from fblsec.constrained import (
     solve_blocklength_statistical,
     solve_fixed_leakage,
 )
-from fblsec.core import EveModel, Resources, capacity, fbl_error, lfp_at, snr
+from fblsec.core import (
+    ChannelSpec,
+    EveModel,
+    Resources,
+    capacity,
+    fbl_error,
+    fbl_error_over_gains,
+    lfp_at,
+    snr,
+)
 from fblsec.errors import InfeasibleError
 from fblsec.multi_eve import scenario_lfp, solve_multi
 
@@ -176,6 +186,42 @@ def test_throughput_matches_scan_and_unimodal():
             if taus[i] > taus[i - 1] and taus[i] > taus[i + 1]
         ]
         assert len(interior_maxima) <= 1
+
+
+WINDOW_SETS = [
+    pytest.param(make_scenario(z_b=3.0, eve_gains=(1.0, 0.8)), id="passive-2"),
+    pytest.param(make_scenario(z_b=3.0, eve_gains=(1.0, 0.9, 0.8)), id="passive-3"),
+    pytest.param(make_scenario(z_b=3.0, eve_gains=tuple(np.linspace(1.0, 0.6, 8))),
+                 id="passive-8"),
+    pytest.param(make_scenario(z_b=3.0, eve_gains=(0.79, 0.91), eve_model=EveModel.SUPER),
+                 id="colluding-pair"),
+    pytest.param(make_scenario(z_b=3.0, eve_model=EveModel.SUPER).with_updates(
+        eves=(ChannelSpec(1.0, 0.1), ChannelSpec(0.5, 0.2))), id="colluders-noise"),
+]
+
+
+@pytest.mark.parametrize("p,thr", [(0.1, 0.3), (0.3, 0.1), (1.0, 0.1)])
+@pytest.mark.parametrize("sc", WINDOW_SETS)
+def test_window_searches_equal_dense_scan_on_eavesdropper_sets(sc, p, thr):
+    """On passive sets and colluders (also with different noise powers) the
+    window is the set of blocklengths a dense scan finds feasible, and both
+    searches return the optimum of a scan of the whole window."""
+    th = Thresholds(thr, thr)
+    ms = np.arange(1, sc.m_cap + 1, dtype=float)
+    eps_b = fbl_error(snr(sc.bob, p), sc.d, ms)
+    feasible = ms[(eps_b <= thr) & (1.0 - _dense_eps_e(sc, p, ms) <= thr)]
+    interval = feasible_m_interval(sc, p, th)
+    assert interval == (feasible[0], feasible[-1])
+    assert len(feasible) == interval[1] - interval[0] + 1
+
+    ms, vals = _scan_values(sc, p, interval)
+    m_star, v_star = solve_blocklength(sc, p, th)
+    assert m_star == ms[int(np.argmin(vals))]
+    assert v_star == pytest.approx(vals.min(), rel=1e-14)
+    taus = sc.d / ms * (1.0 - vals)
+    m_tau, tau_star = maximize_throughput(sc, p, th)
+    assert m_tau == ms[int(np.argmax(taus))]
+    assert tau_star == pytest.approx(taus.max(), rel=1e-14)
 
 
 def test_throughput_direction_in_gain_and_power():
@@ -368,6 +414,22 @@ def test_zero_power_is_the_zero_snr_limit(fading):
     with np.errstate(divide="ignore"):
         assert expected_lfp(sc, res, fading) == 1.0
         assert lfp_at(sc, res)[0] == 1.0
+
+
+def test_vanishing_gains_are_the_zero_snr_limit():
+    """Gains down to zero, where 1 + gamma rounds to 1, give the zero-SNR
+    error 1 exactly and raise no floating-point warning."""
+    sc = make_scenario(mean_gain=1.0)
+    res = Resources(400.0, 1.0)
+    gains = [0.0, 1e-301, 1e-200, 1e-17]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        errs = fbl_error_over_gains(np.array(gains), 0.1, res.p, sc.d, res.m)
+        assert errs.tolist() == [1.0] * len(gains)
+        for g in gains:
+            fading = FadingSpec(PointMassGain(g))
+            assert expected_eps_e(sc, res, fading) == 1.0
+            expected_lfp(sc, res, fading)
 
 
 def test_monte_carlo_seed_deterministic():

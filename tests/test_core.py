@@ -5,6 +5,7 @@ import pytest
 
 from fblsec.core import (
     ChannelSpec,
+    EveModel,
     ReliabilityPair,
     Resources,
     capacity,
@@ -20,6 +21,7 @@ from fblsec.core import (
     snr,
 )
 from fblsec.errors import DegenerateChannelError
+from fblsec.multi_eve import scenario_lfp
 from fblsec.solver import LinkSet
 
 from conftest import make_scenario
@@ -144,10 +146,17 @@ def test_lfp_at_oracle_value(default_scenario):
     assert val == 1.0
 
 
-def test_lfp_at_rejects_multi_eve():
-    sc = make_scenario(eve_gains=[1.0, 0.5])
-    with pytest.raises(ValueError, match="multi"):
-        lfp_at(sc, Resources(m=100, p=1.0))
+@pytest.mark.parametrize("eve_model", [EveModel.PASSIVE, EveModel.SUPER],
+                         ids=lambda m: m.value)
+@pytest.mark.parametrize("gains", [(1.0, 0.5), (1.0, 0.5, 0.8), (0.9,) * 8],
+                         ids=lambda g: f"{len(g)}-eves")
+def test_lfp_at_is_scenario_lfp(eve_model, gains):
+    """lfp_at serves any eavesdropper set under its own model: its value is
+    scenario_lfp's to the bit."""
+    sc = make_scenario(z_b=2.0, eve_gains=gains, eve_model=eve_model)
+    for m, p in ((100.0, 1.0), (320.0, 0.05), (1234.0, 3.7), (2999.0, 1e-6)):
+        res = Resources(m=m, p=p)
+        assert lfp_at(sc, res)[0] == scenario_lfp(sc, res)
 
 
 def test_max_rate_contract():

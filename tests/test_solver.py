@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fblsec.bounds import local_point
-from fblsec.core import EveModel, Resources, lfp_at, linkset_for, linkset_single
+from fblsec.core import EveModel, Resources, lfp_at, linkset_for
 from fblsec.errors import InfeasibleError
 from fblsec.multi_eve import solve_multi
 from fblsec.solver import (
@@ -45,7 +45,7 @@ def test_converges_quickly(solved_default):
 
 def test_anchor_tightness_each_round(solved_default):
     sc, res = solved_default
-    links = linkset_single(sc)
+    links = linkset_for(sc)
     pts = [(res.trace.m0, res.trace.p0)] + [
         (r.m, r.p) for r in res.trace.iterations
     ]
@@ -68,7 +68,7 @@ def test_result_contracts(solved_default):
 def test_inner_minimize_beats_anchor_and_respects_bounds(default_scenario):
     sc = default_scenario
     lp = local_point(sc, Resources(m=320.0, p=0.1))
-    links = linkset_single(sc)
+    links = linkset_for(sc)
     model = SurrogateModel(links, lp.m_hat, lp.p_hat)
     box = _resource_box(links)
     m_opt, p_opt, val = minimize_surrogate(model, box)
@@ -82,7 +82,7 @@ def test_inner_minimize_matches_dense_grid(default_scenario):
     surrogate over the box."""
     sc = default_scenario
     lp = local_point(sc, Resources(m=320.0, p=0.1))
-    links = linkset_single(sc)
+    links = linkset_for(sc)
     model = SurrogateModel(links, lp.m_hat, lp.p_hat)
     box = _resource_box(links)
     _, _, val = minimize_surrogate(model, box)
@@ -92,12 +92,12 @@ def test_inner_minimize_matches_dense_grid(default_scenario):
 
 
 def test_round_blocklength_integer_input(default_scenario):
-    assert _round_blocklength(linkset_single(default_scenario), 100.0, 0.05) == 100
+    assert _round_blocklength(linkset_for(default_scenario), 100.0, 0.05) == 100
 
 
 def test_round_blocklength_picks_smaller_lfp(default_scenario):
     sc = default_scenario
-    m = _round_blocklength(linkset_single(sc), 100.5, 0.05)
+    m = _round_blocklength(linkset_for(sc), 100.5, 0.05)
     v100, _ = lfp_at(sc, Resources(100.0, 0.05))
     v101, _ = lfp_at(sc, Resources(101.0, 0.05))
     expected = 100 if v100 <= v101 else 101
@@ -187,6 +187,20 @@ def test_solver_matches_oracle_across_regimes(kwargs):
     res = solve_multi(sc)
     _, _, v_o = exhaustive_min_lfp(sc, GridSpec(p_points=500, refine_rounds=3))
     assert abs(res.eps_lf - v_o) / v_o <= 1e-3
+
+
+@pytest.mark.parametrize("z_b,n", [(1.5, 3), (1.5, 8), (2.0, 8)])
+def test_short_packet_optimum_at_the_blocklength_cap(z_b, n):
+    """At d=100 these passive sets have their optimum at the blocklength cap,
+    where the oracle finds it: the solver searches the same box, so it lands
+    there too, on or below the oracle."""
+    from fblsec.oracle import GridSpec, exhaustive_min_lfp
+
+    sc = make_scenario(z_b=z_b, d=100, eve_gains=tuple(np.linspace(1.0, 0.5, n)))
+    res = solve_multi(sc)
+    _, _, v_o = exhaustive_min_lfp(sc, GridSpec(p_points=500, refine_rounds=3))
+    assert res.m_star == sc.m_cap
+    assert res.eps_lf <= v_o * (1.0 + 1e-6)
 
 
 GRID_45 = [(z_b, d, n) for z_b in (1.5, 2.0, 2.5, 3.0, 4.0)
