@@ -55,7 +55,8 @@ class ExpBoundCoeffs:
     """Coefficients of the anchored bound Q(w) <= exp(log_q - a * (w -
     omega_hat)), the tangent of the concave log Q at omega_hat: a is the
     normal hazard rate there and log_q = log Q(omega_hat), so the bound is
-    tight at the anchor.
+    tight at the anchor.  The coefficients are floats for one anchor, or
+    arrays of one shape for several.
 
     Below omega_hat ~ -38.6 the hazard rate underflows to 0 and the bound is
     the constant Q(omega_hat) = 1.
@@ -66,9 +67,9 @@ class ExpBoundCoeffs:
     log_q: float
 
     def __post_init__(self):
-        if not self.a >= 0.0:
+        if not np.all(np.asarray(self.a) >= 0.0):
             raise ValueError("a must be nonnegative")
-        if not math.isfinite(self.log_q):
+        if not np.all(np.isfinite(self.log_q)):
             raise ValueError("log_q must be finite")
 
 
@@ -80,14 +81,15 @@ def _hazard(x):
     return out if np.ndim(x) else float(out)
 
 
-def exp_bound_coeffs(omega_hat: float) -> ExpBoundCoeffs:
+def exp_bound_coeffs(omega_hat) -> ExpBoundCoeffs:
     """Build the anchored log-tangent bound for the Gaussian tail at
-    omega_hat; both coefficients stay finite out to anchors where the tail
-    itself underflows."""
-    if not math.isfinite(omega_hat):
+    omega_hat, elementwise for an array of anchors; both coefficients stay
+    finite out to anchors where the tail itself underflows."""
+    if not np.all(np.isfinite(omega_hat)):
         raise ValueError("omega_hat must be finite")
+    log_q = log_ndtr(-np.asarray(omega_hat, dtype=float))
     return ExpBoundCoeffs(a=_hazard(omega_hat), omega_hat=omega_hat,
-                          log_q=float(log_ndtr(-omega_hat)))
+                          log_q=log_q if np.ndim(omega_hat) else float(log_q))
 
 
 def _log_upper(w, coeffs: ExpBoundCoeffs):
@@ -143,33 +145,36 @@ class SurrogateModel:
     factors' log-tangent bounds, so it upper-bounds its product and matches
     it at the anchor.
 
-    Per link the model holds the error-bound coefficients, per eavesdropper
-    the leakage-bound coefficients.
+    The model holds two ExpBoundCoeffs whose fields are column arrays over
+    the links: err_coeffs for every link's error bound and leak_coeffs for
+    every eavesdropper's leakage bound.
     """
 
     def __init__(self, links: LinkSet, m_hat: float, p_hat: float):
         self.links = links
         self.m_hat = float(m_hat)
         self.p_hat = float(p_hat)
-        whats = links.omegas(m_hat, p_hat).tolist()
-        self.err_coeffs = [exp_bound_coeffs(w) for w in whats]
-        self.leak_coeffs = [exp_bound_coeffs(-w) for w in whats[1:]]
+        whats = links.omegas(m_hat, p_hat)[:, None]
+        self.err_coeffs = exp_bound_coeffs(whats)
+        self.leak_coeffs = exp_bound_coeffs(-whats[1:])
         self.anchor_value = self.value(m_hat, p_hat)
 
-    def terms_at(self, omegas: Sequence) -> list:
-        """The terms at the per-link exponents omegas (broadcast arrays
-        allowed): the reliability term, then the leakage terms in
-        eavesdropper order.  Each log bound is computed once, and the
-        eavesdroppers' error bounds are summed from the last one back."""
-        err = [_log_upper(w, cf) for w, cf in zip(omegas, self.err_coeffs)]
-        logs = []
-        tail = 0.0  # log error bounds of the eavesdroppers after n
-        for n in range(len(self.leak_coeffs), 0, -1):
-            logs.append(_log_upper(-omegas[n], self.leak_coeffs[n - 1]) + tail)
-            tail = tail + err[n]
-        logs.append(err[0] + tail)
+    def terms_at(self, omegas: Sequence) -> np.ndarray:
+        """The terms at the per-link exponents omegas (a sequence of
+        equal-shape arrays, or their stack), stacked on the first axis: the
+        reliability term, then the leakage terms in eavesdropper order.
+        Each log bound is computed once, and the eavesdroppers' error bounds
+        are summed from the last one back."""
+        w = np.asarray(omegas, dtype=float)
+        flat = w.reshape(w.shape[0], -1)
+        err = _log_upper(flat, self.err_coeffs)
+        # row n of tail: the summed log error bounds of the eavesdroppers after n
+        tail = np.zeros_like(err)
+        tail[:-1] = np.cumsum(err[:0:-1], axis=0)[::-1]
+        logs = np.concatenate([err[:1] + tail[:1],
+                               _log_upper(-flat[1:], self.leak_coeffs) + tail[1:]])
         with np.errstate(over="ignore"):
-            return [np.exp(x) for x in reversed(logs)]
+            return np.exp(logs).reshape(w.shape)
 
     def value_at(self, omegas: Sequence):
         """The sum of terms_at(omegas).  Far from the anchor it can overflow

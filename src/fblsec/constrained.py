@@ -206,10 +206,11 @@ def solve_fixed_leakage(scenario: Scenario, delta_cap: float,
     Equivalent to pure reliability maximization once the leakage budget is
     pinned; the achieved LFP is reported for comparison against the joint
     optimum.  The leakage is one minus the product of the eavesdroppers'
-    errors under the scenario's model.  The box is scanned and refined with
-    oracle.refine_argmin (one power point means p_cap alone): every link's
-    error falls in m and p, so Bob's error on a tile is at least its value at
-    (m_hi, p_hi), and the whole tile breaks the cap when its leakage at
+    errors under the scenario's model.  The resource box is scanned and
+    refined with oracle.refine_argmin (one power point means p_cap alone),
+    whose branch and bound splits each grid into boxes of cells: every link's
+    error falls in m and p, so Bob's error on such a box is at least its value
+    at (m_hi, p_hi), and the whole box breaks the cap when its leakage at
     (m_lo, p_lo) does.  The result equals a scan of every cell.  ValueError
     unless delta_cap lies in (0, 0.5], p_points >= 1 and refine_rounds >= 0."""
     _check_cap("delta_cap", delta_cap)

@@ -4,9 +4,11 @@ maximizer for unimodal objectives.  These are the benchmarks every solver
 claim is validated against.
 
 The grid searches here and in the fixed-leakage baseline share refine_argmin,
-a power-zoom loop around grid_argmin, a branch-and-bound scanner that
-returns the same minimizer as evaluating every cell.  The solver's default
-start is one coarse pass of the same LFP scan as exhaustive_min_lfp.
+a power-zoom loop around grid_argmin.  grid_argmin is a monotonic branch and
+bound over boxes of grid cells: it halves the boxes that its bound cannot
+rule out and returns the same minimizer as evaluating every cell.  The
+solver's default start is one coarse pass of the same LFP scan as
+exhaustive_min_lfp.
 """
 
 from __future__ import annotations
@@ -20,8 +22,10 @@ import numpy as np
 from .core import LinkSet, Scenario, lfp_from_errors, linkset_for
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_TILE_M = 64
-_TILE_P = 25
+_LEAF_CELLS = 16        # grid_argmin evaluates boxes this small cell by cell
+# and passes at most this many cells to one values call: on a plateau no box
+# is pruned, and the cap keeps each call's temporaries small
+_CALL_CELLS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -52,37 +56,67 @@ def grid_argmin(ms, ps, values: Callable, bound: Callable,
     into the incumbent best = (value, m, p) and return it (None while no
     finite cell has been seen).
 
-    ms and ps are ascending arrays.  values(m[:, None], p[None, :]) evaluates
-    a rectangle of cells.  bound(m_lo, m_hi, p_lo, p_hi), vectorized over the
-    tiles' corner coordinates, is a lower bound on every cell of each tile
-    (inf when no cell of the tile is finite).  Tiles are visited in stable
-    ascending-bound order until one's bound is inf or exceeds the incumbent
-    by more than 1e-9 relative plus 1e-15 absolute, the allowance for
-    ulp-level non-monotonicity and for the cancellation in
-    1 - (1 - eps_b) * eps_e near 0.  Tiles tied with the incumbent are still
-    visited and ties break to the lexicographically smallest (m, p), so for a
-    valid bound the result equals a scan of every cell.
+    ms and ps are ascending arrays.  values(m, p) evaluates cells
+    elementwise on broadcastable arrays.  bound(m_lo, m_hi, p_lo, p_hi),
+    elementwise over the boxes' corner coordinates, is a lower bound on
+    every cell of each box (inf when no cell of the box is finite).
+
+    The search is breadth-first branch and bound over index boxes, starting
+    from one box that covers the grid.  Each level bounds every live box in
+    one call and evaluates the centre cell of each box larger than
+    _LEAF_CELLS cells, which tightens the incumbent.  It then drops the
+    boxes whose bound is inf or exceeds the incumbent by more than 1e-9
+    relative plus 1e-15 absolute, the allowance for ulp-level
+    non-monotonicity and for the cancellation in 1 - (1 - eps_b) * eps_e
+    near 0.  The smaller boxes left are evaluated cell by cell, and the
+    larger ones are halved along each axis longer than one cell.  Boxes tied
+    with the incumbent stay live and ties break to the lexicographically
+    smallest (m, p), so for a valid bound the result equals a scan of every
+    cell.
     """
-    m_lo = np.arange(0, ms.size, _TILE_M)
-    p_lo = np.arange(0, ps.size, _TILE_P)
-    m_hi = np.minimum(m_lo + _TILE_M, ms.size)
-    p_hi = np.minimum(p_lo + _TILE_P, ps.size)
-    bounds = np.broadcast_to(
-        bound(ms[m_lo][:, None], ms[m_hi - 1][:, None],
-              ps[p_lo][None, :], ps[p_hi - 1][None, :]),
-        (m_lo.size, p_lo.size),
-    ).ravel()
-    for tile in np.argsort(bounds, kind="stable"):
+    # live boxes: rows [i0, i1) of ms times columns [j0, j1) of ps
+    i0, i1 = np.array([0]), np.array([ms.size])
+    j0, j1 = np.array([0]), np.array([ps.size])
+    while i0.size:
+        b = bound(ms[i0], ms[i1 - 1], ps[j0], ps[j1 - 1])
+        rows, cols = i1 - i0, j1 - j0
+        leaf = rows * cols <= _LEAF_CELLS
+        ci, cj = (i0 + i1 - 1)[~leaf] // 2, (j0 + j1 - 1)[~leaf] // 2
+        best = _fold_boxes(ms, ps, values, ci, ci + 1, cj, cj + 1, best)
         level = math.inf if best is None else best[0]
-        b = bounds[tile]
-        if b == math.inf or b > level + 1e-9 * level + 1e-15:
-            break
-        i, j = divmod(int(tile), p_lo.size)
-        tm = ms[m_lo[i]:m_hi[i]]
-        tp = ps[p_lo[j]:p_hi[j]]
-        vals = values(tm[:, None], tp[None, :])
-        a, c = np.unravel_index(int(np.argmin(vals)), vals.shape)
-        cand = (float(vals[a, c]), int(tm[a]), float(tp[c]))
+        live = ~((b == math.inf) | (b > level + 1e-9 * level + 1e-15))
+        i0, i1, j0, j1 = i0[live], i1[live], j0[live], j1[live]
+        rows, cols, leaf = rows[live], cols[live], leaf[live]
+        best = _fold_boxes(ms, ps, values, i0[leaf], i1[leaf], j0[leaf], j1[leaf],
+                           best)
+        i0, i1, j0, j1 = i0[~leaf], i1[~leaf], j0[~leaf], j1[~leaf]
+        im = i0 + rows[~leaf] // 2
+        jm = j0 + cols[~leaf] // 2
+        # the four quarters; a box one cell wide leaves an empty half, dropped
+        i0, i1 = np.concatenate([i0, i0, im, im]), np.concatenate([im, im, i1, i1])
+        j0, j1 = np.concatenate([j0, jm, j0, jm]), np.concatenate([jm, j1, jm, j1])
+        keep = (i1 > i0) & (j1 > j0)
+        i0, i1, j0, j1 = i0[keep], i1[keep], j0[keep], j1[keep]
+    return best
+
+
+def _fold_boxes(ms, ps, values: Callable, i0, i1, j0, j1, best):
+    """Fold every cell of the boxes [i0, i1) x [j0, j1) into best.  Each
+    values call takes at most _CALL_CELLS cells, in ascending (m, p) order,
+    so argmin's first occurrence is the smallest of tied cells."""
+    cols = j1 - j0
+    sizes = (i1 - i0) * cols
+    step = _CALL_CELLS // int(sizes.max(initial=1))
+    for lo in range(0, sizes.size, step):
+        part = slice(lo, lo + step)
+        n = sizes[part]
+        di, dj = np.divmod(np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n),
+                           np.repeat(cols[part], n))
+        i, j = np.divmod(np.sort((np.repeat(i0[part], n) + di) * ps.size
+                                 + np.repeat(j0[part], n) + dj), ps.size)
+        vals = values(ms[i], ps[j])
+        k = int(np.argmin(vals))
+        cand = (float(vals[k]), int(ms[i[k]]), float(ps[j[k]]))
         if cand[0] < math.inf and (best is None or cand < best):
             best = cand
     return best
@@ -122,14 +156,17 @@ def exhaustive_min_lfp(scenario: Scenario, grid: GridSpec | None = None
     Each round scans its grid with grid_argmin.  For every link the exponent
     sqrt(m / V) * (C - d/m) * ln 2 rises strictly in m and in the SNR, so
     every error probability falls in m and p.  The LFP rises in Bob's error
-    and falls in each eavesdropper's, so on a tile it is at least
+    and falls in each eavesdropper's, so on a box of cells it is at least
     1 - (1 - eps_b(m_hi, p_hi)) * prod eps_e(m_lo, p_lo).  With that bound
     the pruned scan returns the same (m, p, value) as evaluating every cell.
+    ValueError unless m_range has integral ends inside [1, m_cap] and p_min
+    lies in (0, p_cap].
     """
     grid = grid or GridSpec()
     links = linkset_for(scenario)
     m_lo, m_hi = grid.m_range if grid.m_range else (1, scenario.m_cap)
-    if not (1 <= m_lo <= m_hi <= scenario.m_cap):
+    if not (float(m_lo).is_integer() and float(m_hi).is_integer()
+            and 1 <= m_lo <= m_hi <= scenario.m_cap):
         raise ValueError("m_range must be an integer interval inside [1, m_cap]")
     p_min = grid.p_min if grid.p_min is not None else scenario.p_cap * 1e-4
     if not 0.0 < p_min <= scenario.p_cap:
@@ -142,12 +179,12 @@ def exhaustive_min_lfp(scenario: Scenario, grid: GridSpec | None = None
 def _lfp_argmin(links: LinkSet, ms, p_min: float, p_points: int,
                 refine_rounds: int) -> Optional[Tuple[float, int, float]]:
     """refine_argmin of links.lfp over the blocklengths ms and powers on
-    [p_min, links.p_cap], pruned by the tile bound
+    [p_min, links.p_cap], pruned by the box bound
     1 - (1 - eps_b(m_hi, p_hi)) * prod eps_e(m_lo, p_lo)."""
 
-    def bound(tm_lo, tm_hi, tp_lo, tp_hi):
-        return lfp_from_errors(links.eps_pair(tm_hi, tp_hi)[0],
-                               links.eps_pair(tm_lo, tp_lo)[1])
+    def bound(m_lo, m_hi, p_lo, p_hi):
+        return lfp_from_errors(links.eps_pair(m_hi, p_hi)[0],
+                               links.eps_pair(m_lo, p_lo)[1])
 
     return refine_argmin(ms, p_min, links.p_cap, p_points, refine_rounds,
                          links.lfp, bound)

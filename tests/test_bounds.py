@@ -227,9 +227,12 @@ def test_composite_terms_reduce_to_pair_formula(default_scenario):
     we = omega(snr(default_scenario.single_eve, p), default_scenario.d, m)
     assert len(model.terms_at([wb, we])) == 2
     val = model.value_at([wb, we])
-    cb, ce = model.err_coeffs
-    (cl,) = model.leak_coeffs
+    cb, ce = (exp_bound_coeffs(*x) for x in model.err_coeffs.omega_hat)
+    (cl,) = (exp_bound_coeffs(*x) for x in model.leak_coeffs.omega_hat)
     assert cl.omega_hat == -ce.omega_hat
+    for stacked, kinds in ((model.err_coeffs, (cb, ce)), (model.leak_coeffs, (cl,))):
+        for field in ("a", "omega_hat", "log_q"):
+            assert getattr(stacked, field).ravel().tolist() == [getattr(c, field) for c in kinds]
     manual = math.exp(cb.log_q - cb.a * (wb - cb.omega_hat)
                       + ce.log_q - ce.a * (we - ce.omega_hat)) \
         + math.exp(cl.log_q - cl.a * (-we - cl.omega_hat))

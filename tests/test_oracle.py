@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fblsec.core import EveModel, Resources, lfp_at
+from fblsec.core import EveModel, Resources, lfp_at, lfp_from_errors
 from fblsec.multi_eve import linkset_for, solve_multi
 from fblsec.oracle import GridSpec, exhaustive_min_lfp, golden_section_max, grid_argmin
 
@@ -144,15 +144,15 @@ def test_p_min_at_p_cap_scans_one_power(default_scenario):
 
 
 def test_grid_argmin_skips_most_of_the_grid(default_scenario):
-    """On the reference scenario the tile bound prunes most cells, and the
-    result is the dense argmin of the same grid."""
+    """On the reference scenario the box bound prunes all but a few cells,
+    and the result is the dense argmin of the same grid."""
     links = linkset_for(default_scenario)
     ms = np.arange(1, default_scenario.m_cap + 1, dtype=float)
     ps = np.geomspace(1e-3, default_scenario.p_cap, 200)
     evaluated = []
 
     def values(m, p):
-        evaluated.append(m.size * p.size)
+        evaluated.append(np.broadcast(m, p).size)
         return links.lfp(m, p)
 
     def bound(m_lo, m_hi, p_lo, p_hi):
@@ -163,7 +163,7 @@ def test_grid_argmin_skips_most_of_the_grid(default_scenario):
     vals = links.lfp(ms[:, None], ps[None, :])
     i, j = np.unravel_index(int(np.argmin(vals)), vals.shape)
     assert best == (float(vals[i, j]), int(ms[i]), float(ps[j]))
-    assert sum(evaluated) < 0.2 * vals.size
+    assert sum(evaluated) < 0.02 * vals.size
 
 
 def test_grid_argmin_ties_and_incumbent():
@@ -191,6 +191,122 @@ def test_grid_argmin_ties_and_incumbent():
 
     assert grid_argmin(ms, ps, nowhere, inf_bound) is None
     assert grid_argmin(ms, ps, nowhere, zero_bound) is None
+
+
+def _lfp_objective(links):
+    def bound(m_lo, m_hi, p_lo, p_hi):
+        return lfp_from_errors(links.eps_pair(m_hi, p_hi)[0],
+                               links.eps_pair(m_lo, p_lo)[1])
+
+    return links.lfp, bound
+
+
+def _fixed_leakage_objective(links, delta_cap):
+    """Bob's error where the leakage meets the cap, inf elsewhere, with the
+    box bound of solve_fixed_leakage."""
+
+    def values(m, p):
+        eps_b, eps_e = links.eps_pair(m, p)
+        return np.where(1.0 - eps_e <= delta_cap, eps_b, np.inf)
+
+    def bound(m_lo, m_hi, p_lo, p_hi):
+        leak = 1.0 - links.eps_pair(m_lo, p_lo)[1]
+        eps_b = links.eps_pair(m_hi, p_hi)[0]
+        return np.where(leak > delta_cap * (1.0 + 1e-9) + 1e-15, np.inf, eps_b)
+
+    return values, bound
+
+
+def _dense_argmin(ms, ps, values, best=None):
+    """Every cell in one call, ties to the smallest (m, p), folded into the
+    incumbent best."""
+    vals = np.broadcast_to(values(ms[:, None], ps[None, :]), (ms.size, ps.size))
+    i, j = np.unravel_index(int(np.argmin(vals)), vals.shape)
+    cand = (float(vals[i, j]), int(ms[i]), float(ps[j]))
+    if cand[0] < math.inf and (best is None or cand < best):
+        return cand
+    return best
+
+
+GRID_SHAPES = [
+    (np.array([320.0]), np.array([10.0])),
+    (np.array([320.0]), np.geomspace(1e-3, 10.0, 64)),
+    (np.arange(1.0, 3001.0), np.array([0.3])),
+    (np.unique(np.linspace(1.0, 3000.0, 37).round()), np.geomspace(1e-3, 10.0, 13)),
+    (np.arange(1.0, 3001.0), np.geomspace(1e-3, 10.0, 64)),
+]
+OBJECTIVES = [
+    ("passive-1", dict(z_b=1.5), None),
+    ("passive-3", dict(z_b=2.0, eve_gains=(1.0, 0.75, 0.5)), None),
+    ("passive-8", dict(z_b=2.0, eve_gains=tuple(np.linspace(1.0, 0.5, 8))), None),
+    ("colluding-2", dict(z_b=2.5, eve_gains=(0.8, 0.9), eve_model=EveModel.SUPER), None),
+    ("fixed-leakage-1", dict(z_b=1.5), 1e-3),
+    ("fixed-leakage-3", dict(z_b=2.0, eve_gains=(1.0, 0.75, 0.5)), 1e-2),
+]
+
+
+@pytest.mark.parametrize("name,kwargs,delta_cap", OBJECTIVES, ids=[o[0] for o in OBJECTIVES])
+def test_grid_argmin_equals_dense_scan(name, kwargs, delta_cap):
+    """The box search returns the dense (value, m, p) on every grid shape,
+    with no incumbent and with incumbents tied with the dense minimum,
+    below it and above it, on the grid and off it."""
+    links = linkset_for(make_scenario(**kwargs))
+    if delta_cap is None:
+        values, bound = _lfp_objective(links)
+    else:
+        values, bound = _fixed_leakage_objective(links, delta_cap)
+    seen_inf = False
+    for ms, ps in GRID_SHAPES:
+        dense = _dense_argmin(ms, ps, values)
+        seen_inf |= bool(np.isinf(values(ms[:, None], ps[None, :])).any())
+        assert grid_argmin(ms, ps, values, bound) == dense
+        if dense is None:
+            continue
+        v, m, p = dense
+        incumbents = [
+            (v, m, p),              # the dense minimum itself
+            (v, m - 1, p),          # tied, smaller m, off the grid
+            (v, m, p * 0.5),        # tied, smaller p, off the grid
+            (v, m + 1, p),          # tied, larger m: the grid cell wins
+            (v - 1e-3, 5000, 0.5),  # lower, off the grid
+            (v + 1e-3, m, p),       # higher, at the grid minimum
+            (2.0 * v + 1e-3, 1, 1e-9),  # higher, off the grid
+        ]
+        for best in incumbents:
+            assert grid_argmin(ms, ps, values, bound, best) == \
+                _dense_argmin(ms, ps, values, best), (ms.size, ps.size, best)
+    assert seen_inf == (delta_cap is not None)
+
+
+def test_grid_argmin_plateau_respects_the_cell_cap():
+    """On a plateau no box is pruned; every cell is evaluated, no values call
+    exceeds the cap of 2**12 cells, and the tie goes to the smallest (m, p)."""
+    ms = np.arange(1.0, 3001.0)
+    ps = np.geomspace(1e-3, 10.0, 64)
+    sizes = []
+
+    def flat(m, p):
+        sizes.append(np.broadcast(m, p).size)
+        return np.full(np.broadcast_shapes(m.shape, p.shape), 0.25)
+
+    def flat_bound(m_lo, m_hi, p_lo, p_hi):
+        return np.full(np.broadcast_shapes(m_lo.shape, p_lo.shape), 0.25)
+
+    assert grid_argmin(ms, ps, flat, flat_bound) == (0.25, 1, float(ps[0]))
+    assert max(sizes) <= 1 << 12
+    assert sum(sizes) >= ms.size * ps.size
+
+
+def test_fractional_m_range_rejected(default_scenario):
+    """A blocklength range must have integral ends: (100.5, 400.5) used to
+    scan m = 100.5, ..., 400.5 and report the LFP at m = 389.5 as m = 389."""
+    for m_range in [(100.5, 400.5), (100, 400.5), (100.5, 400)]:
+        with pytest.raises(ValueError, match="m_range"):
+            exhaustive_min_lfp(default_scenario,
+                               GridSpec(m_range=m_range, p_points=50, refine_rounds=0))
+    grid = dict(p_points=50, refine_rounds=0)
+    assert exhaustive_min_lfp(default_scenario, GridSpec(m_range=(100.0, 400.0), **grid)) \
+        == exhaustive_min_lfp(default_scenario, GridSpec(m_range=(100, 400), **grid))
 
 
 def test_golden_section_quadratic():
