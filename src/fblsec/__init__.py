@@ -3,11 +3,9 @@ short-packet secure transmissions in the finite-blocklength regime."""
 
 from .bounds import (
     ExpBoundCoeffs,
-    LocalPoint,
     am_gm_upper,
     approx_lfp,
     exp_bound_coeffs,
-    local_point,
     one_minus_q_upper,
     q_upper,
 )
@@ -70,17 +68,16 @@ __all__ = [
     "AllocationResult", "ChannelSpec", "ConcavityReport", "ConfigError",
     "DegenerateChannelError", "EveModel", "ExpBoundCoeffs",
     "ExponentialGain", "FadingSpec", "GaussQuadrature", "GridSpec",
-    "InfeasibleError", "LocalPoint", "MonteCarlo", "PointMassGain",
-    "ReliabilityPair", "Resources", "Scenario", "SolveTrace", "SolverConfig",
-    "Thresholds", "TrendViolationError", "am_gm_upper", "approx_lfp",
-    "capacity", "check_concavity", "dispersion", "exhaustive_min_lfp",
+    "InfeasibleError", "MonteCarlo", "PointMassGain", "ReliabilityPair",
+    "Resources", "Scenario", "SolveTrace", "SolverConfig", "Thresholds",
+    "TrendViolationError", "am_gm_upper", "approx_lfp", "capacity",
+    "check_concavity", "dispersion", "exhaustive_min_lfp",
     "exp_bound_coeffs", "expected_lfp", "fbl_error", "feasible_m_interval",
     "feasible_m_interval_statistical", "golden_section_max", "lfp", "lfp_at",
-    "local_point", "max_rate", "maximize_throughput", "omega",
-    "omega_gradient", "omega_hessian", "omega_hessian_fd",
-    "omega_hessian_mgamma", "one_minus_q_upper", "q", "q_inv", "q_upper",
-    "rate_threshold", "rate_threshold_sweep_max", "scenario_lfp",
-    "secrecy_rate", "snr", "solve_blocklength",
-    "solve_blocklength_statistical", "solve_fixed_leakage", "solve_multi",
-    "telescope_leakage",
+    "max_rate", "maximize_throughput", "omega", "omega_gradient",
+    "omega_hessian", "omega_hessian_fd", "omega_hessian_mgamma",
+    "one_minus_q_upper", "q", "q_inv", "q_upper", "rate_threshold",
+    "rate_threshold_sweep_max", "scenario_lfp", "secrecy_rate", "snr",
+    "solve_blocklength", "solve_blocklength_statistical",
+    "solve_fixed_leakage", "solve_multi", "telescope_leakage",
 ]

@@ -115,27 +115,6 @@ def one_minus_q_upper(w, coeffs: ExpBoundCoeffs):
 # anchored surrogate for the LFP
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LocalPoint:
-    """The anchor allocation of one surrogate round, with Bob's error and the
-    eavesdroppers' joint error (the product of theirs) it induces."""
-
-    m_hat: float
-    p_hat: float
-    eps_b_hat: float
-    eps_e_hat: float
-
-    def __post_init__(self):
-        if not (self.m_hat > 0.0 and self.p_hat > 0.0):
-            raise ValueError("anchor blocklength and power must be positive")
-
-
-def local_point(scenario: Scenario, res: Resources) -> LocalPoint:
-    """Anchor a scenario, under its own eavesdropper model, at an allocation."""
-    eps_b, eps_e = linkset_for(scenario).eps_pair(res.m, res.p)
-    return LocalPoint(res.m, res.p, float(eps_b), float(eps_e))
-
-
 class SurrogateModel:
     """The anchored surrogate of the LFP for one Bob link (index 0) and N
     eavesdropper links (indices 1..N): the sum of one reliability term
@@ -188,12 +167,12 @@ class SurrogateModel:
         return self.value_at(self.links.omegas(m, p))
 
 
-def approx_lfp(m: float, p: float, scenario: Scenario, lp: LocalPoint) -> float:
+def approx_lfp(m: float, p: float, scenario: Scenario, anchor: Resources) -> float:
     """Anchored surrogate of the scenario's LFP under its own eavesdropper
     model: one eavesdropper, independent ones (each telescoped product term
     bounded separately) or colluders on their summed-SNR link.
 
-    Upper-bounds the true LFP for every allocation and equals it at
-    (lp.m_hat, lp.p_hat).
+    Upper-bounds the true LFP for every allocation and equals it at the
+    anchor allocation.
     """
-    return SurrogateModel(linkset_for(scenario), lp.m_hat, lp.p_hat).value(m, p)
+    return SurrogateModel(linkset_for(scenario), anchor.m, anchor.p).value(m, p)

@@ -6,14 +6,12 @@
     fblsec oracle --config cfg.json [--out file.csv]
 
 Exit codes: 0 on success, 2 when the configuration is malformed or
-infeasible, 3 when a configured trend assertion fails.  The FBLSEC_THREADS
-environment variable overrides --threads.
+infeasible, 3 when a configured trend assertion fails.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .errors import ConfigError, InfeasibleError, TrendViolationError
@@ -49,18 +47,8 @@ def _parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", default=None,
                          help="CSV output path (default: config 'output' key, else stdout)")
         cmd.add_argument("--threads", type=int, default=1,
-                         help="concurrent sweep points (FBLSEC_THREADS overrides)")
+                         help="concurrent sweep points")
     return parser
-
-
-def _thread_count(args) -> int:
-    env = os.environ.get("FBLSEC_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"FBLSEC_THREADS must be an integer, got {env!r}") from exc
-    return max(1, args.threads)
 
 
 def main(argv=None) -> int:
@@ -72,7 +60,7 @@ def main(argv=None) -> int:
         elif args.command == "solve":
             header, rows = cmd_solve(cfg)
         elif args.command == "sweep":
-            header, rows = cmd_sweep(cfg, threads=_thread_count(args))
+            header, rows = cmd_sweep(cfg, threads=max(1, args.threads))
         else:
             header, rows = cmd_oracle(cfg)
     except (ConfigError, InfeasibleError) as exc:

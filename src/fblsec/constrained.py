@@ -97,8 +97,9 @@ class MonteCarlo:
 
 @dataclass(frozen=True)
 class GaussQuadrature:
-    """Deterministic estimator: Gauss-Legendre nodes applied to the
-    inverse-CDF transform of the gain distribution."""
+    """Deterministic estimator: composite Gauss-Legendre panels of this many
+    nodes over the gain itself, split at the decode transition, with the
+    gain density folded into the integrand (see expected_eps_e)."""
 
     nodes: int = 64
 
@@ -206,33 +207,30 @@ def solve_fixed_leakage(scenario: Scenario, delta_cap: float,
     Equivalent to pure reliability maximization once the leakage budget is
     pinned; the achieved LFP is reported for comparison against the joint
     optimum.  The leakage is one minus the product of the eavesdroppers'
-    errors under the scenario's model.  The resource box is scanned and
-    refined with oracle.refine_argmin (one power point means p_cap alone),
-    whose branch and bound splits each grid into boxes of cells: every link's
-    error falls in m and p, so Bob's error on such a box is at least its value
-    at (m_hi, p_hi), and the whole box breaks the cap when its leakage at
-    (m_lo, p_lo) does.  The result equals a scan of every cell.  ValueError
-    unless delta_cap lies in (0, 0.5], p_points >= 1 and refine_rounds >= 0."""
+    errors under the scenario's model.  Every integer blocklength times
+    p_points powers on [p_min, p_cap] (p_min defaults to 1e-6 p_cap; one
+    power point means p_cap alone) is scanned and refined with
+    oracle.refine_argmin.  On a box of cells, Bob's error is at least its
+    LinkSet.box_floor value, and the whole box breaks the cap when its
+    smallest leakage, one minus the box_floor joint error, does.  The result
+    equals a scan of every cell.  ValueError unless delta_cap lies in
+    (0, 0.5], p_points >= 1, refine_rounds >= 0 and p_min lies in
+    (0, p_cap]."""
     _check_cap("delta_cap", delta_cap)
-    GridSpec(p_points=p_points, refine_rounds=refine_rounds)  # checks both counts
+    grid = GridSpec(p_points=p_points, refine_rounds=refine_rounds, p_min=p_min)
     links = linkset_for(scenario)
-    p_min = p_min if p_min is not None else scenario.p_cap * 1e-6
-    if not 0.0 < p_min <= scenario.p_cap:
-        raise ValueError(f"p_min must lie in (0, p_cap], got {p_min}")
-    ms = np.arange(1, scenario.m_cap + 1, dtype=float)
 
     def capped_eps_b(m, p):
         eps_b, eps_e = links.eps_pair(m, p)
         return np.where((1.0 - eps_e) <= delta_cap, eps_b, np.inf)
 
     def bound(m_lo, m_hi, p_lo, p_hi):
+        eps_b, eps_e = links.box_floor(m_lo, m_hi, p_lo, p_hi)
         # the cap's slack is grid_argmin's allowance for ulp-level effects
-        leak = 1.0 - links.eps_pair(m_lo, p_lo)[1]
-        eps_b = links.eps_pair(m_hi, p_hi)[0]
-        return np.where(leak > delta_cap * (1.0 + 1e-9) + 1e-15, np.inf, eps_b)
+        return np.where(1.0 - eps_e > delta_cap * (1.0 + 1e-9) + 1e-15, np.inf, eps_b)
 
-    best = refine_argmin(ms, p_min, scenario.p_cap, p_points, refine_rounds,
-                         capped_eps_b, bound)
+    best = refine_argmin(grid, links.m_cap, links.p_cap, capped_eps_b, bound,
+                         p_floor=1e-6)
     if best is None:
         raise InfeasibleError("the leakage cap is violated everywhere in the box")
     _, m_star, p_star = best

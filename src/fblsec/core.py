@@ -241,9 +241,14 @@ class LinkSet:
             raise InfeasibleError("every link needs a positive gain to noise ratio")
 
     def omegas(self, m, p) -> np.ndarray:
+        return self._omegas(self.k, m, p)
+
+    def _omegas(self, k, m, p) -> np.ndarray:
+        """The exponents of the links whose SNR per watt is k (self.k or a
+        slice of it), on the leading axis."""
         mv = np.asarray(m, dtype=float)
         pv = np.asarray(p, dtype=float)
-        k = self.k.reshape((-1,) + (1,) * max(mv.ndim, pv.ndim))
+        k = k.reshape((-1,) + (1,) * max(mv.ndim, pv.ndim))
         return _omega(k * pv, self.d, mv)
 
     def errors(self, m, p) -> np.ndarray:
@@ -255,6 +260,23 @@ class LinkSet:
         there are none)."""
         errs = self.errors(m, p)
         return errs[0], np.multiply.reduce(errs[1:], axis=0)
+
+    def box_floor(self, m_lo, m_hi, p_lo, p_hi):
+        """(eps_b, eps_e) at the LFP's floor on the boxes [m_lo, m_hi] x
+        [p_lo, p_hi], elementwise over the corner coordinates: Bob's error
+        at (m_hi, p_hi) and the eavesdroppers' joint error at (m_lo, p_lo).
+
+        Every link's exponent sqrt(m / V) * (C - d/m) * ln 2 rises strictly
+        in m and in the SNR, so every error probability falls in m and p.
+        On each box, eps_b is therefore the smallest of Bob's errors and
+        eps_e the largest joint error, so the leakage 1 - eps_e is the
+        smallest leakage, and the LFP, which rises in eps_b and falls in
+        eps_e, is at least lfp_from_errors(eps_b, eps_e) on every cell.
+        Bob's row is evaluated at one corner and the eavesdroppers' rows at
+        the other, N + 1 link rows in all."""
+        eps_b = q(self._omegas(self.k[:1], m_hi, p_hi))[0]
+        eps_e = q(self._omegas(self.k[1:], m_lo, p_lo))
+        return eps_b, np.multiply.reduce(eps_e, axis=0)
 
     def lfp(self, m, p):
         """Actual LFP: passive combination across all eavesdropper links

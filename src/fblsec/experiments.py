@@ -29,7 +29,7 @@ from .constrained import (
 from .core import ChannelSpec, EveModel, Resources, Scenario, lfp_from_errors, linkset_for
 from .errors import ConfigError, InfeasibleError, TrendViolationError
 from .multi_eve import scenario_lfp, solve_multi
-from .oracle import GridSpec, exhaustive_min_lfp
+from .oracle import GridSpec, _grid_axes, exhaustive_min_lfp
 from .solver import SolverConfig
 
 _TREND_CHECKS = {
@@ -50,6 +50,15 @@ def load_config(path: str) -> dict:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+
+
+def _int(value, what: str) -> int:
+    """A config value read as an integer: ints and integral floats pass;
+    ConfigError for anything else, bools and fractions included."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not float(value).is_integer()):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _channel_from(obj: dict, what: str) -> ChannelSpec:
@@ -86,11 +95,11 @@ def scenario_from_config(cfg: dict) -> Scenario:
         eves = tuple(_channel_from(e, "eavesdropper") for e in sec["eves"])
         model = EveModel(sec.get("eve_model", "passive"))
         return Scenario(
-            d=int(sec["d"]),
+            d=_int(sec["d"], "d"),
             bob=_channel_from(sec["bob"], "bob"),
             eves=eves,
             eve_model=model,
-            m_cap=int(sec.get("m_cap", 3000)),
+            m_cap=_int(sec.get("m_cap", 3000), "m_cap"),
             p_cap=float(sec.get("p_cap", 10.0)),
         )
     except ConfigError:
@@ -105,7 +114,7 @@ def solver_from_config(cfg: dict) -> SolverConfig:
         init = sec.get("init")
         return SolverConfig(
             mu_th=float(sec.get("mu_th", 1e-8)),
-            max_iter=int(sec.get("max_iter", 100)),
+            max_iter=_int(sec.get("max_iter", 100), "max_iter"),
             init=(Resources(float(init["m"]), float(init["p"])) if init else None),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -113,31 +122,23 @@ def solver_from_config(cfg: dict) -> SolverConfig:
 
 
 def grid_from_config(cfg: dict, scenario: Scenario) -> Optional[GridSpec]:
-    """The 'oracle' section, checked against the scenario: m_range is two
-    integers with 1 <= lo <= hi <= m_cap and p_min lies in (0, p_cap]."""
+    """The 'oracle' section, checked against the scenario by the oracle's
+    own grid check: m_range is two integers with 1 <= lo <= hi <= m_cap and
+    p_min lies in (0, p_cap]."""
     sec = _section(cfg, "oracle")
     if sec is None:
         return None
     try:
         m_range = sec.get("m_range") or None
-        if m_range is not None:
-            ints = [int(v) for v in m_range]
-            if ints != list(m_range) or not (
-                    len(ints) == 2 and 1 <= ints[0] <= ints[1] <= scenario.m_cap):
-                raise ConfigError("oracle m_range must be two integers in "
-                                  f"[1, m_cap], got {m_range!r}")
-            m_range = tuple(ints)
-        p_min = float(sec["p_min"]) if sec.get("p_min") is not None else None
-        if p_min is not None and not 0.0 < p_min <= scenario.p_cap:
-            raise ConfigError(f"oracle p_min must lie in (0, p_cap], got {p_min}")
-        return GridSpec(
-            m_range=m_range,
-            p_points=int(sec.get("p_points", 1000)),
-            refine_rounds=int(sec.get("refine_rounds", 3)),
-            p_min=p_min,
+        grid = GridSpec(
+            m_range=(None if m_range is None
+                     else tuple(_int(v, "oracle m_range") for v in m_range)),
+            p_points=_int(sec.get("p_points", 1000), "oracle p_points"),
+            refine_rounds=_int(sec.get("refine_rounds", 3), "oracle refine_rounds"),
+            p_min=float(sec["p_min"]) if sec.get("p_min") is not None else None,
         )
-    except ConfigError:
-        raise
+        _grid_axes(grid, scenario.m_cap, scenario.p_cap)
+        return grid
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad oracle section: {exc}") from exc
 
@@ -201,8 +202,8 @@ def cmd_eval(cfg: dict) -> Tuple[List[str], Iterable[tuple]]:
     try:
         m_lo, m_hi = sec.get("m_range", [1, scenario.m_cap])
         p_lo, p_hi = sec.get("p_range", [scenario.p_cap * 1e-4, scenario.p_cap])
-        n_m = int(sec.get("m_points", 40))
-        n_p = int(sec.get("p_points", 40))
+        n_m = _int(sec.get("m_points", 40), "eval m_points")
+        n_p = _int(sec.get("p_points", 40), "eval p_points")
         if not (1 <= m_lo <= m_hi <= scenario.m_cap) or not (0 < p_lo <= p_hi <= scenario.p_cap):
             raise ConfigError("eval ranges must lie inside the scenario caps")
         if n_m < 1 or n_p < 1:
@@ -342,8 +343,9 @@ def _fixed_leakage(sweep: dict) -> Optional[Tuple[float, GridSpec]]:
     try:
         cap = float(sec.get("delta_cap", 1e-3))
         _check_cap("delta_cap", cap)
-        return cap, GridSpec(p_points=int(sec.get("p_points", 300)),
-                             refine_rounds=int(sec.get("refine_rounds", 2)))
+        return cap, GridSpec(
+            p_points=_int(sec.get("p_points", 300), "fixed_leakage p_points"),
+            refine_rounds=_int(sec.get("refine_rounds", 2), "fixed_leakage refine_rounds"))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad fixed_leakage baseline: {exc}") from exc
 
@@ -386,6 +388,9 @@ def cmd_sweep(cfg: dict, threads: int = 1) -> Tuple[List[str], List[list]]:
         raise ConfigError("sweep values must be non-empty")
     _validate_sweep_variable(scenario, variable)
     # checked before the points run, where a ConfigError becomes an error row
+    if variable in ("d", "n_eves", "m_cap"):
+        for v in sweep["values"]:
+            _int(v, f"a {variable} sweep value")
     mode = _sweep_mode(sweep)
     fixed = _fixed_leakage(sweep)
     trend = _trend(_section(sweep, "trend"))

@@ -3,12 +3,14 @@ a geometric power grid (with local refinement), and an integer golden-section
 maximizer for unimodal objectives.  These are the benchmarks every solver
 claim is validated against.
 
-The grid searches here and in the fixed-leakage baseline share refine_argmin,
-a power-zoom loop around grid_argmin.  grid_argmin is a monotonic branch and
-bound over boxes of grid cells: it halves the boxes that its bound cannot
-rule out and returns the same minimizer as evaluating every cell.  The
-solver's default start is one coarse pass of the same LFP scan as
-exhaustive_min_lfp.
+Every grid search (the oracle here, the solver's default start and the
+fixed-leakage baseline) describes its grid with a GridSpec and runs
+refine_argmin, which checks the grid against the resource box (_grid_axes)
+and runs a power-zoom loop around grid_argmin.  grid_argmin is a monotonic
+branch and bound over boxes of grid cells: it halves the boxes that its
+bound cannot rule out and returns the same minimizer as evaluating every
+cell.  The bounds come from LinkSet.box_floor.  The solver's default start
+is one coarse pass of the same LFP scan as exhaustive_min_lfp.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ _LEAF_CELLS = 16        # grid_argmin evaluates boxes this small cell by cell
 # and passes at most this many cells to one values call: on a plateau no box
 # is pruned, and the cap keeps each call's temporaries small
 _CALL_CELLS = 1 << 12
+_P_FLOOR = 1e-4         # default p_min of a scan, relative to p_cap
 
 
 @dataclass(frozen=True)
@@ -122,21 +125,41 @@ def _fold_boxes(ms, ps, values: Callable, i0, i1, j0, j1, best):
     return best
 
 
-def refine_argmin(ms, p_min: float, p_cap: float, p_points: int,
-                  refine_rounds: int, values: Callable, bound: Callable
+def _grid_axes(grid: GridSpec, m_cap: int, p_cap: float,
+               p_floor: float = _P_FLOOR) -> Tuple[np.ndarray, float]:
+    """The blocklengths and the power floor of a scan of grid in the box
+    [1, m_cap] x (0, p_cap]: every integer in m_range ([1, m_cap] when it
+    is None), and p_min (p_floor * p_cap when it is None).  ValueError
+    unless m_range has integral ends inside [1, m_cap] and p_min lies in
+    (0, p_cap]."""
+    m_lo, m_hi = grid.m_range or (1, m_cap)
+    if not (float(m_lo).is_integer() and float(m_hi).is_integer()
+            and 1 <= m_lo <= m_hi <= m_cap):
+        raise ValueError("m_range must be an integer interval inside [1, m_cap]")
+    p_min = grid.p_min if grid.p_min is not None else p_cap * p_floor
+    if not 0.0 < p_min <= p_cap:
+        raise ValueError(f"p_min must lie in (0, p_cap], got {p_min}")
+    return np.arange(m_lo, m_hi + 1, dtype=float), p_min
+
+
+def refine_argmin(grid: GridSpec, m_cap: int, p_cap: float, values: Callable,
+                  bound: Callable, p_floor: float = _P_FLOOR
                   ) -> Optional[Tuple[float, int, float]]:
-    """grid_argmin over ms and p_points geometric powers on [p_min, p_cap]
-    (p_cap alone when p_points is 1), then refine_rounds passes that zoom the
-    power window around the incumbent, its log-width shrinking five-fold per
-    pass.  Returns the incumbent (value, m, p), or None when no cell of the
-    first grid is finite."""
+    """grid_argmin over the blocklengths of grid (checked by _grid_axes
+    against m_cap and p_cap) and grid.p_points geometric powers on
+    [p_min, p_cap] (p_cap alone when p_points is 1), then
+    grid.refine_rounds passes that zoom the power window around the
+    incumbent, its log-width shrinking five-fold per pass.  Returns the
+    incumbent (value, m, p), or None when no cell of the first grid is
+    finite."""
+    ms, p_min = _grid_axes(grid, m_cap, p_cap, p_floor)
     p_lo, p_hi = p_min, p_cap
     best = None
-    for _round in range(refine_rounds + 1):
-        if p_points == 1:
+    for _round in range(grid.refine_rounds + 1):
+        if grid.p_points == 1:
             ps = np.array([p_hi])
         else:
-            ps = np.geomspace(p_lo, p_hi, p_points)
+            ps = np.geomspace(p_lo, p_hi, grid.p_points)
         best = grid_argmin(ms, ps, values, bound, best)
         if best is None:
             return None
@@ -151,43 +174,23 @@ def exhaustive_min_lfp(scenario: Scenario, grid: GridSpec | None = None
     """Global minimum of the actual LFP over the grid: returns (m, p, value).
 
     Ties break to the lexicographically smallest (m, p).  Enlarging the grid to
-    a superset never increases the returned minimum.
-
-    Each round scans its grid with grid_argmin.  For every link the exponent
-    sqrt(m / V) * (C - d/m) * ln 2 rises strictly in m and in the SNR, so
-    every error probability falls in m and p.  The LFP rises in Bob's error
-    and falls in each eavesdropper's, so on a box of cells it is at least
-    1 - (1 - eps_b(m_hi, p_hi)) * prod eps_e(m_lo, p_lo).  With that bound
-    the pruned scan returns the same (m, p, value) as evaluating every cell.
-    ValueError unless m_range has integral ends inside [1, m_cap] and p_min
-    lies in (0, p_cap].
+    a superset never increases the returned minimum.  Each round is scanned
+    by grid_argmin, pruned by LinkSet.box_floor, so the result equals
+    evaluating every cell.  ValueError unless m_range has integral ends
+    inside [1, m_cap] and p_min lies in (0, p_cap].
     """
-    grid = grid or GridSpec()
-    links = linkset_for(scenario)
-    m_lo, m_hi = grid.m_range if grid.m_range else (1, scenario.m_cap)
-    if not (float(m_lo).is_integer() and float(m_hi).is_integer()
-            and 1 <= m_lo <= m_hi <= scenario.m_cap):
-        raise ValueError("m_range must be an integer interval inside [1, m_cap]")
-    p_min = grid.p_min if grid.p_min is not None else scenario.p_cap * 1e-4
-    if not 0.0 < p_min <= scenario.p_cap:
-        raise ValueError(f"p_min must lie in (0, p_cap], got {p_min}")
-    ms = np.arange(m_lo, m_hi + 1, dtype=float)
-    best = _lfp_argmin(links, ms, p_min, grid.p_points, grid.refine_rounds)
-    return best[1], best[2], best[0]
+    return _lfp_argmin(linkset_for(scenario), grid or GridSpec())
 
 
-def _lfp_argmin(links: LinkSet, ms, p_min: float, p_points: int,
-                refine_rounds: int) -> Optional[Tuple[float, int, float]]:
-    """refine_argmin of links.lfp over the blocklengths ms and powers on
-    [p_min, links.p_cap], pruned by the box bound
-    1 - (1 - eps_b(m_hi, p_hi)) * prod eps_e(m_lo, p_lo)."""
+def _lfp_argmin(links: LinkSet, grid: GridSpec) -> Tuple[int, float, float]:
+    """(m, p, value): refine_argmin of links.lfp over grid, with p_min
+    defaulting to 1e-4 p_cap, pruned by the LFP of links.box_floor."""
 
     def bound(m_lo, m_hi, p_lo, p_hi):
-        return lfp_from_errors(links.eps_pair(m_hi, p_hi)[0],
-                               links.eps_pair(m_lo, p_lo)[1])
+        return lfp_from_errors(*links.box_floor(m_lo, m_hi, p_lo, p_hi))
 
-    return refine_argmin(ms, p_min, links.p_cap, p_points, refine_rounds,
-                         links.lfp, bound)
+    value, m, p = refine_argmin(grid, links.m_cap, links.p_cap, links.lfp, bound)
+    return m, p, value
 
 
 def golden_section_max(f: Callable[[int], float], lo: int, hi: int

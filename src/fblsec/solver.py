@@ -35,11 +35,11 @@ from .core import (
     q,  # noqa: F401  kept bound here: perfbench's tracer tests patch it in solver
 )
 from .errors import InfeasibleError
-from .oracle import _lfp_argmin
+from .oracle import GridSpec, _lfp_argmin
 
 _P_FLOOR_FACTOR = 1e-12
 _SEED_GRID = 48     # points per axis of the inner step's coarse scan
-_START_P_POINTS = 64  # powers of the default start's coarse LFP scan
+_START_GRID = GridSpec(p_points=64, refine_rounds=0)  # default_init's LFP scan
 
 
 # ---------------------------------------------------------------------------
@@ -150,15 +150,13 @@ def minimize_surrogate(model: SurrogateModel, box):
 # the iteration
 # ---------------------------------------------------------------------------
 
-def default_init(links: LinkSet, box) -> Tuple[float, float]:
-    """Documented default start: the minimizer of the actual LFP over every
-    integer blocklength in [1, m_hi] of the box times _START_P_POINTS
-    geometric powers on [1e-4 * p_cap, p_cap], found by the oracle's pruned
-    scan (ties to the smallest (m, p)).  The iteration only descends from
-    its start, so starting at the coarse global minimum puts it in the
-    right basin."""
-    ms = np.arange(1.0, math.floor(box[1]) + 1.0)
-    _, m0, p0 = _lfp_argmin(links, ms, links.p_cap * 1e-4, _START_P_POINTS, 0)
+def default_init(links: LinkSet) -> Tuple[float, float]:
+    """Documented default start: the minimizer of the actual LFP over
+    _START_GRID, every integer blocklength in [1, m_cap] times 64 geometric
+    powers on [1e-4 * p_cap, p_cap], found by the oracle's pruned scan (ties
+    to the smallest (m, p)).  The iteration only descends from its start,
+    so starting at the coarse global minimum puts it in the right basin."""
+    m0, p0, _ = _lfp_argmin(links, _START_GRID)
     return float(m0), p0
 
 
@@ -174,7 +172,7 @@ def run_iteration(links: LinkSet, cfg: SolverConfig) -> AllocationResult:
                 f"initial allocation ({m0}, {p0}) lies outside the resource box"
             )
     else:
-        m0, p0 = default_init(links, box)
+        m0, p0 = default_init(links)
 
     eps_prev = float(links.lfp(m0, p0))
     trace = SolveTrace(m0=m0, p0=p0, eps0=eps_prev)

@@ -9,7 +9,6 @@ from fblsec.bounds import (
     am_gm_upper,
     approx_lfp,
     exp_bound_coeffs,
-    local_point,
     one_minus_q_upper,
     q_upper,
 )
@@ -18,9 +17,9 @@ from fblsec.core import EveModel, Resources, lfp_at, linkset_for, q
 from conftest import make_scenario
 
 
-def _anchor_model(scenario, lp):
-    """The surrogate of a scenario anchored at a local point."""
-    return SurrogateModel(linkset_for(scenario), lp.m_hat, lp.p_hat)
+def _anchor_model(scenario, res):
+    """The surrogate of a scenario anchored at an allocation."""
+    return SurrogateModel(linkset_for(scenario), res.m, res.p)
 
 # hazard rate phi/Q at +6, frozen from a 50-digit oracle
 HAZARD_AT_6 = 6.158482604544598917278
@@ -119,27 +118,25 @@ def test_one_minus_q_upper_symmetry_and_dominance():
 
 def test_approx_lfp_tight_at_anchor(default_scenario):
     res = Resources(m=320.0, p=0.1)
-    lp = local_point(default_scenario, res)
     actual, _ = lfp_at(default_scenario, res)
-    assert approx_lfp(res.m, res.p, default_scenario, lp) == pytest.approx(
+    assert approx_lfp(res.m, res.p, default_scenario, res) == pytest.approx(
         actual, abs=1e-9
     )
 
 
 def test_approx_lfp_dominates(default_scenario, rng):
-    lp = local_point(default_scenario, Resources(m=320.0, p=0.1))
+    anchor = Resources(m=320.0, p=0.1)
     for _ in range(1000):
         m = rng.uniform(50.0, 3000.0)
         p = rng.uniform(1e-3, 10.0)
         actual, _ = lfp_at(default_scenario, Resources(m=m, p=p))
-        assert approx_lfp(m, p, default_scenario, lp) >= actual - 1e-12
+        assert approx_lfp(m, p, default_scenario, anchor) >= actual - 1e-12
 
 
 def test_surrogate_convex_in_exponent_space(default_scenario, rng):
     """As a function of the two decoding exponents the surrogate is a sum of
     convex exponential compositions: midpoints never beat chord averages."""
-    lp = local_point(default_scenario, Resources(m=320.0, p=0.1))
-    model = _anchor_model(default_scenario, lp)
+    model = _anchor_model(default_scenario, Resources(m=320.0, p=0.1))
     for _ in range(2000):
         wb1, wb2 = rng.uniform(-2.0, 10.0, size=2)
         we1, we2 = rng.uniform(-6.0, 4.0, size=2)
@@ -161,8 +158,7 @@ def test_reliability_term_convex_in_resources(default_scenario, rng):
     from fblsec.convexity import rate_threshold_sweep_max
 
     sc = default_scenario
-    lp = local_point(sc, Resources(m=320.0, p=0.1))
-    model = _anchor_model(sc, lp)
+    model = _anchor_model(sc, Resources(m=320.0, p=0.1))
     thr = rate_threshold_sweep_max(150.0)
     m_cap = sc.d / thr
 
@@ -189,12 +185,13 @@ def test_approx_lfp_is_inf_where_the_reliability_coefficient_underflows():
     exceeds the largest double, and it reports the vacuous bound as inf,
     never nan, with no warning."""
     sc = make_scenario(z_b=2.5)
-    lp = local_point(sc, Resources(m=1000.0, p=0.3))
-    assert lp.eps_b_hat * lp.eps_e_hat == 0.0
-    model = SurrogateModel(linkset_for(sc), lp.m_hat, lp.p_hat)
+    anchor = Resources(m=1000.0, p=0.3)
+    pair = lfp_at(sc, anchor)[1]
+    assert pair.eps_b * pair.eps_e == 0.0
+    model = _anchor_model(sc, anchor)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        value = approx_lfp(1000.0, 0.03, sc, lp)
+        value = approx_lfp(1000.0, 0.03, sc, anchor)
         values = model.value(np.array([1000.0, 1000.0]), np.array([0.03, 0.3]))
     assert value == math.inf
     assert value >= lfp_at(sc, Resources(1000.0, 0.03))[0]
@@ -206,9 +203,9 @@ def test_approx_lfp_tight_at_a_saturated_anchor(default_scenario):
     """Huge resources: both errors underflow to 0 at the anchor, and the
     surrogate there is still finite and equals the LFP."""
     res = Resources(m=3000.0, p=10.0)
-    lp = local_point(default_scenario, res)
-    assert lp.eps_b_hat == 0.0 and lp.eps_e_hat == 0.0
-    value = approx_lfp(res.m, res.p, default_scenario, lp)
+    pair = lfp_at(default_scenario, res)[1]
+    assert pair.eps_b == 0.0 and pair.eps_e == 0.0
+    value = approx_lfp(res.m, res.p, default_scenario, res)
     assert math.isfinite(value)
     assert value == lfp_at(default_scenario, res)[0]
 
@@ -218,8 +215,8 @@ def test_composite_terms_reduce_to_pair_formula(default_scenario):
     log-tangent error bounds plus Eve's leakage bound, written out from the
     coefficients (a, omega_hat, log_q)."""
     res = Resources(m=400.0, p=0.08)
-    lp = local_point(default_scenario, res)
-    model = _anchor_model(default_scenario, lp)
+    pair = lfp_at(default_scenario, res)[1]
+    model = _anchor_model(default_scenario, res)
     from fblsec.core import omega, snr
 
     m, p = 500.0, 0.1
@@ -238,7 +235,7 @@ def test_composite_terms_reduce_to_pair_formula(default_scenario):
         + math.exp(cl.log_q - cl.a * (-we - cl.omega_hat))
     assert val == pytest.approx(manual, rel=1e-12)
     assert math.exp(cb.log_q) * math.exp(ce.log_q) == pytest.approx(
-        lp.eps_b_hat * lp.eps_e_hat, rel=1e-12)
+        pair.eps_b * pair.eps_e, rel=1e-12)
 
 
 @pytest.mark.parametrize("eve_gains,eve_model", [

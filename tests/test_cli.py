@@ -311,6 +311,24 @@ def _not_run(*args, **kwargs):
     ("sweep", _joint_sweep(trend={"direction": "nonincreasing", "column": "bogus"})),
     ("sweep", _joint_sweep(trend={"direction": ["nonincreasing"]})),
     ("sweep", _joint_sweep(trend={"direction": "nonincreasing", "column": ["m"]})),
+    # integer fields: a fraction, a bool or a string is rejected, not truncated
+    ("solve", _scenario_with(d=320.7)),
+    ("solve", _scenario_with(m_cap=3000.9)),
+    ("eval", _scenario_with(d=True)),
+    ("solve", {"solver": {"max_iter": 2.5}}),
+    ("oracle", {"oracle": {"p_points": True}}),
+    ("oracle", {"oracle": {"refine_rounds": 0.9}}),
+    ("oracle", {"oracle": {"p_points": "100"}}),
+    ("eval", {"eval": {"m_points": 2.9}}),
+    ("eval", {"eval": {"p_points": True}}),
+    ("sweep", {"sweep": {"variable": "d", "values": [320, 320.5, 320.9],
+                         "mode": "joint"}}),
+    ("sweep", {"sweep": {"variable": "m_cap", "values": [3000, 2999.5],
+                         "mode": "joint"}}),
+    ("sweep", {"sweep": {"variable": "n_eves", "values": [1, True],
+                         "mode": "joint"}}),
+    ("sweep", _joint_sweep(baseline={"fixed_leakage": {"p_points": 300.5}})),
+    ("sweep", _joint_sweep(baseline={"fixed_leakage": {"refine_rounds": 1.5}})),
 ])
 def test_malformed_section_exits_2(tmp_path, capsys, monkeypatch, command, section):
     """A malformed config exits 2 with an error line before any solve,
@@ -321,6 +339,21 @@ def test_malformed_section_exits_2(tmp_path, capsys, monkeypatch, command, secti
     path = write_config(tmp_path, cfg)
     assert main([command, "--config", path]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_integral_float_fields_read_as_integers(tmp_path):
+    """Integral floats in integer fields give the same output as ints."""
+    outs = []
+    for scale in (1, 1.0):
+        cfg = base_config(eval={"m_points": 3 * scale, "p_points": 2 * scale,
+                                "m_range": [100, 200], "p_range": [0.1, 1.0]})
+        cfg["scenario"].update(d=320 * scale, m_cap=3000 * scale)
+        out = tmp_path / f"eval-{scale!r}.csv"
+        assert main(["eval", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert len(outs[0].splitlines()) == 1 + 3 * 2
 
 
 def test_unknown_sweep_variable_exits_2(tmp_path):
@@ -352,7 +385,7 @@ def test_byte_determinism_across_runs(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_threads_env_override_still_deterministic(tmp_path, monkeypatch):
+def test_four_threads_byte_identical(tmp_path):
     cfg = base_config(sweep={
         "variable": "z_b",
         "values": [1.5, 1.7, 1.9, 2.1],
@@ -361,9 +394,8 @@ def test_threads_env_override_still_deterministic(tmp_path, monkeypatch):
     cfg_path = write_config(tmp_path, cfg)
     out1 = tmp_path / "seq.csv"
     assert main(["sweep", "--config", cfg_path, "--out", str(out1)]) == 0
-    monkeypatch.setenv("FBLSEC_THREADS", "4")
     out2 = tmp_path / "par.csv"
-    assert main(["sweep", "--config", cfg_path, "--threads", "1",
+    assert main(["sweep", "--config", cfg_path, "--threads", "4",
                  "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
 

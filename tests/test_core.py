@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fblsec import core
 from fblsec.core import (
     ChannelSpec,
     EveModel,
@@ -13,6 +14,8 @@ from fblsec.core import (
     fbl_error,
     lfp,
     lfp_at,
+    lfp_from_errors,
+    linkset_for,
     max_rate,
     omega,
     q,
@@ -290,6 +293,48 @@ def test_stacked_kernel_matches_per_link_evaluation(n_eves):
         b, e = links.eps_pair(m, p)
         assert (b, e) == (eps_b[i, j], eps_e[i, j])
         assert links.lfp(m, p) == 1.0 - (1.0 - eps_b[i, j]) * eps_e[i, j]
+
+
+@pytest.mark.parametrize("gains,eve_model", [
+    ((1.0,), EveModel.PASSIVE),
+    ((1.0, 0.7, 0.4), EveModel.PASSIVE),
+    (tuple(np.linspace(1.2, 0.3, 8)), EveModel.PASSIVE),
+    ((0.8, 0.9), EveModel.SUPER),
+], ids=["passive-1", "passive-3", "passive-8", "colluding-2"])
+def test_box_floor_bounds_every_cell(gains, eve_model, rng, monkeypatch):
+    """On random boxes of integer blocklengths times geometric powers,
+    box_floor equals (eps_pair(m_hi, p_hi)[0], eps_pair(m_lo, p_lo)[1]) bit
+    for bit; its eps_b is at most, and its eps_e at least, that of every
+    cell of the box, so its LFP is at most every cell's; a 1 x 1 box gives
+    back the cell; and a call evaluates N + 1 link rows."""
+    links = linkset_for(make_scenario(z_b=2.0, eve_gains=gains, eve_model=eve_model))
+    corners = []
+    for _ in range(30):
+        m_lo = int(rng.integers(1, 3000))
+        ms = np.arange(m_lo, min(3000, m_lo + int(rng.integers(0, 80))) + 1,
+                       dtype=float)[:, None]
+        p_lo = float(10.0 ** rng.uniform(-5.0, 1.0))
+        ps = np.geomspace(p_lo, min(10.0, p_lo * 10.0 ** rng.uniform(0.0, 2.0)),
+                          int(rng.integers(1, 40)))[None, :]
+        box = (ms[0, 0], ms[-1, 0], ps[0, 0], ps[0, -1])
+        corners.append(box)
+        eps_b, eps_e = links.box_floor(*box)
+        assert (eps_b, eps_e) == (links.eps_pair(box[1], box[3])[0],
+                                  links.eps_pair(box[0], box[2])[1])
+        cell_b, cell_e = links.eps_pair(ms, ps)
+        assert np.all(eps_b <= cell_b) and np.all(eps_e >= cell_e)
+        assert np.all(lfp_from_errors(eps_b, eps_e) <= links.lfp(ms, ps))
+        m, p = float(ms[-1, 0]), float(ps[0, 0])
+        assert links.box_floor(m, m, p, p) == links.eps_pair(m, p)
+    m_lo, m_hi, p_lo, p_hi = (np.array(c) for c in zip(*corners))
+    rows = []
+    real_omega = core._omega
+    monkeypatch.setattr(core, "_omega", lambda g, d, m: rows.append(len(g)) or real_omega(g, d, m))
+    eps_b, eps_e = links.box_floor(m_lo, m_hi, p_lo, p_hi)
+    assert sum(rows) == len(links.channels)
+    monkeypatch.undo()
+    assert np.array_equal(eps_b, links.eps_pair(m_hi, p_hi)[0])
+    assert np.array_equal(eps_e, links.eps_pair(m_lo, p_lo)[1])
 
 
 def test_scenario_validation():

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from fblsec.bounds import approx_lfp, local_point
+from fblsec.bounds import approx_lfp
 from fblsec.cli import main as cli_main
 from fblsec.core import ChannelSpec, EveModel, Resources, fbl_error, lfp_at, snr
 from fblsec.multi_eve import linkset_for, scenario_lfp, solve_multi, telescope_leakage
@@ -122,37 +122,36 @@ def test_lfp_evaluators_and_surrogates_agree(gains, model, tmp_path):
     model_s = SurrogateModel(links, anchor.m, anchor.p)
     for m, p in [(280.0, 0.12), (500.0, 0.06), (320.0, 0.1), (1500.0, 0.01)]:
         value = model_s.value(m, p)
-        assert approx_lfp(m, p, sc, local_point(sc, anchor)) == value
+        assert approx_lfp(m, p, sc, anchor) == value
         if model is EveModel.SUPER:
-            assert approx_lfp(m, p, single, local_point(single, anchor)) == value
+            assert approx_lfp(m, p, single, anchor) == value
 
 
 def test_approx_passive_tight_at_anchor():
     sc = make_scenario(eve_gains=[1.0, 0.8, 0.6])
     res = Resources(m=350.0, p=0.08)
-    anchor = local_point(sc, res)
-    assert approx_lfp(res.m, res.p, sc, anchor) == pytest.approx(
+    assert approx_lfp(res.m, res.p, sc, res) == pytest.approx(
         scenario_lfp(sc, res), abs=1e-9
     )
 
 
 @pytest.mark.parametrize("m,p", [(350.0, 0.08), (3000.0, 10.0)])
-def test_local_point_anchors_passive_surrogate(m, p):
-    """local_point anchors a 3-eavesdropper passive scenario: eps_e_hat is
+def test_passive_anchor_joint_error_and_surrogate(m, p):
+    """At an anchor of a 3-eavesdropper passive scenario, lfp_at's eps_e is
     the product of the eavesdroppers' errors (at the second anchor it
     underflows to 0), and the passive surrogate is tight there."""
     sc = make_scenario(eve_gains=[1.0, 0.8, 0.6])
-    lp = local_point(sc, Resources(m, p))
+    anchor = Resources(m, p)
     errors = [fbl_error(snr(e, p), sc.d, m) for e in sc.eves]
-    assert lp.eps_e_hat == pytest.approx(float(np.prod(errors)), rel=1e-12)
-    assert approx_lfp(m, p, sc, lp) == pytest.approx(
+    assert lfp_at(sc, anchor)[1].eps_e == pytest.approx(float(np.prod(errors)), rel=1e-12)
+    assert approx_lfp(m, p, sc, anchor) == pytest.approx(
         scenario_lfp(sc, Resources(m, p)), abs=1e-9
     )
 
 
 def test_approx_passive_dominates(rng):
     sc = make_scenario(eve_gains=[1.0, 0.7])
-    anchor = local_point(sc, Resources(m=320.0, p=0.1))
+    anchor = Resources(m=320.0, p=0.1)
     for _ in range(1000):
         m = rng.uniform(60.0, 3000.0)
         p = rng.uniform(1e-3, 10.0)

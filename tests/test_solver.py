@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from fblsec.bounds import local_point
 from fblsec.core import EveModel, Resources, lfp_at, linkset_for
 from fblsec.errors import InfeasibleError
 from fblsec.multi_eve import solve_multi
@@ -67,9 +66,8 @@ def test_result_contracts(solved_default):
 
 def test_inner_minimize_beats_anchor_and_respects_bounds(default_scenario):
     sc = default_scenario
-    lp = local_point(sc, Resources(m=320.0, p=0.1))
     links = linkset_for(sc)
-    model = SurrogateModel(links, lp.m_hat, lp.p_hat)
+    model = SurrogateModel(links, 320.0, 0.1)
     box = _resource_box(links)
     m_opt, p_opt, val = minimize_surrogate(model, box)
     assert box[0] <= m_opt <= box[1]
@@ -81,9 +79,8 @@ def test_inner_minimize_matches_dense_grid(default_scenario):
     """The inner step lands at least as low as a dense 400 x 400 scan of the
     surrogate over the box."""
     sc = default_scenario
-    lp = local_point(sc, Resources(m=320.0, p=0.1))
     links = linkset_for(sc)
-    model = SurrogateModel(links, lp.m_hat, lp.p_hat)
+    model = SurrogateModel(links, 320.0, 0.1)
     box = _resource_box(links)
     _, _, val = minimize_surrogate(model, box)
     ms = np.linspace(box[0], box[1], 400)[:, None]
@@ -241,7 +238,7 @@ def test_default_init_is_the_coarse_grid_minimum(kwargs):
     powers on [1e-4 p_cap, p_cap], ties to the smallest (m, p)."""
     links = linkset_for(make_scenario(**kwargs))
     box = _resource_box(links)
-    m0, p0 = default_init(links, box)
+    m0, p0 = default_init(links)
     assert box[0] <= m0 <= box[1]
     assert box[2] < p0 <= box[3]
     ms = np.arange(1, int(np.floor(box[1])) + 1, dtype=float)
