@@ -27,7 +27,6 @@ from .constrained import (
 from .convexity import (
     ConcavityReport,
     check_concavity,
-    omega_gradient,
     omega_hessian,
     omega_hessian_fd,
     omega_hessian_mgamma,
@@ -74,7 +73,7 @@ __all__ = [
     "check_concavity", "dispersion", "exhaustive_min_lfp",
     "exp_bound_coeffs", "expected_lfp", "fbl_error", "feasible_m_interval",
     "feasible_m_interval_statistical", "golden_section_max", "lfp", "lfp_at",
-    "max_rate", "maximize_throughput", "omega", "omega_gradient",
+    "max_rate", "maximize_throughput", "omega",
     "omega_hessian", "omega_hessian_fd", "omega_hessian_mgamma",
     "one_minus_q_upper", "q", "q_inv", "q_upper", "rate_threshold",
     "rate_threshold_sweep_max", "scenario_lfp", "secrecy_rate", "snr",

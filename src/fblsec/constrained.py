@@ -20,7 +20,6 @@ from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
-from .convexity import omega_gradient_mgamma
 from .core import (
     LinkSet,
     Resources,
@@ -263,18 +262,16 @@ def _eve_mean_gain(scenario: Scenario, fading: FadingSpec) -> float:
 
 def _decode_transition(scenario: Scenario, res: Resources) -> Tuple[float, float]:
     """Gain at which the eavesdropper's capacity meets the rate, and the gain
-    half-width over which the decoding exponent sweeps +-8 around it."""
+    half-width over which the decoding exponent sweeps +-8 around it.  At
+    the transition C(gamma*) = d/m, so the exponent's slope in the gain is
+    k * sqrt(m / (gamma* (gamma* + 2))) with k = p / noise_power."""
     eve = scenario.single_eve
     r = scenario.d / res.m
     if r > 300.0:
         return math.inf, math.inf
     gamma_star = 2.0 ** r - 1.0
     k = res.p / eve.noise_power
-    z_star = gamma_star / k
-    slope = float(omega_gradient_mgamma(gamma_star, scenario.d, res.m)[1]) * k
-    if slope <= 0.0 or not math.isfinite(slope):
-        return z_star, math.inf
-    return z_star, 8.0 / slope
+    return gamma_star / k, 8.0 * math.sqrt(gamma_star * (gamma_star + 2.0) / res.m) / k
 
 
 def expected_eps_e(scenario: Scenario, res: Resources, fading: FadingSpec) -> float:

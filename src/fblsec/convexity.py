@@ -103,13 +103,6 @@ def omega_hessian_mgamma(gamma: float, d: float, m: float) -> np.ndarray:
     return np.array([[h_mm, h_mg], [h_mg, h_gg]])
 
 
-def omega_gradient(gamma: float, d: float, m: float, ch: ChannelSpec):
-    """(d omega / dm, d omega / dp) with gamma = p * gain / noise_power."""
-    k = ch.gain / ch.noise_power
-    d_m, d_g = omega_gradient_mgamma(gamma, d, m)
-    return d_m, d_g * k
-
-
 def omega_hessian(gamma: float, d: float, m: float, ch: ChannelSpec) -> np.ndarray:
     """Hessian of omega in (m, p); the power map is linear so this is a
     congruence of the (m, gamma) Hessian and shares its definiteness."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -107,10 +107,6 @@ class Scenario:
                 "searches need exactly one"
             )
         return self.eves[0]
-
-    def with_updates(self, **kwargs) -> "Scenario":
-        """Return a copy with the given fields replaced (and validated)."""
-        return replace(self, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,10 @@ of cell types and streams the lines to its output.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
@@ -48,7 +50,7 @@ def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
@@ -243,70 +245,52 @@ def cmd_solve(cfg: dict) -> Tuple[List[str], List[list]]:
     return header, rows
 
 
-_SWEEP_VARIABLES = ("z_b", "z_e", "d", "n_eves", "p_cap", "m_cap")
+def _point_scenario(scenario: Scenario, variable, value) -> Scenario:
+    """The scenario of one sweep point: the sweep variable set to value.
+    The variable is 'z_b', 'z_e' (every eavesdropper's gain), 'z_e:<index>'
+    (one eavesdropper's gain), 'd', 'm_cap', 'n_eves' (copies of the first
+    eavesdropper) or 'p_cap'.  ConfigError for an unknown variable, a bad
+    eavesdropper index or a value the scenario rejects, so building every
+    point checks the whole sweep."""
+    def gain(ch: ChannelSpec) -> ChannelSpec:
+        return replace(ch, gain=float(value))
 
-
-def _eve_index(scenario: Scenario, variable: str) -> Optional[int]:
-    """The eavesdropper index of a 'z_e:<index>' sweep variable, checked
-    against the scenario; None for any other variable."""
-    if not variable.startswith("z_e:"):
-        return None
     try:
-        idx = int(variable.split(":", 1)[1])
-    except ValueError as exc:
-        raise ConfigError(f"bad eavesdropper index in {variable!r}") from exc
-    if not 0 <= idx < len(scenario.eves):
-        raise ConfigError(f"eavesdropper index {idx} out of range")
-    return idx
-
-
-def _validate_sweep_variable(scenario: Scenario, variable: str) -> None:
-    if variable in _SWEEP_VARIABLES or _eve_index(scenario, variable) is not None:
-        return
+        if variable == "z_b":
+            return replace(scenario, bob=gain(scenario.bob))
+        if variable == "z_e":
+            return replace(scenario, eves=tuple(map(gain, scenario.eves)))
+        if variable in ("d", "m_cap"):
+            return replace(scenario, **{variable: _int(value, f"a {variable} sweep value")})
+        if variable == "n_eves":
+            return replace(scenario, eves=scenario.eves[:1] * _int(value, "an n_eves sweep value"))
+        if variable == "p_cap":
+            return replace(scenario, p_cap=float(value))
+        if isinstance(variable, str) and variable.startswith("z_e:"):
+            idx = variable[4:]
+            eves = list(scenario.eves)
+            if not (idx.isdecimal() and int(idx) < len(eves)):
+                raise ConfigError(f"bad eavesdropper index in {variable!r}: the "
+                                  f"scenario has {len(eves)} eavesdropper(s)")
+            eves[int(idx)] = gain(eves[int(idx)])
+            return replace(scenario, eves=tuple(eves))
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {variable} sweep value {value!r}: {exc}") from exc
     raise ConfigError(
-        f"unknown sweep variable {variable!r}; expected one of "
-        f"{_SWEEP_VARIABLES} or 'z_e:<index>'"
-    )
+        f"unknown sweep variable {variable!r}; expected one of z_b, z_e, "
+        "z_e:<index>, d, n_eves, p_cap or m_cap")
 
 
-def _apply_sweep_value(scenario: Scenario, variable: str, value: float) -> Scenario:
-    if variable == "z_b":
-        return scenario.with_updates(
-            bob=ChannelSpec(float(value), scenario.bob.noise_power,
-                            scenario.bob.mean_gain))
-    if variable == "z_e":
-        eves = tuple(ChannelSpec(float(value), e.noise_power, e.mean_gain)
-                     for e in scenario.eves)
-        return scenario.with_updates(eves=eves)
-    idx = _eve_index(scenario, variable)
-    if idx is not None:
-        eves = list(scenario.eves)
-        old = eves[idx]
-        eves[idx] = ChannelSpec(float(value), old.noise_power, old.mean_gain)
-        return scenario.with_updates(eves=tuple(eves))
-    if variable == "d":
-        return scenario.with_updates(d=int(value))
-    if variable == "n_eves":
-        n = int(value)
-        if n < 1:
-            raise ConfigError("n_eves must be at least 1")
-        proto = scenario.eves[0]
-        return scenario.with_updates(eves=(proto,) * n)
-    if variable == "p_cap":
-        return scenario.with_updates(p_cap=float(value))
-    if variable == "m_cap":
-        return scenario.with_updates(m_cap=int(value))
-    raise ConfigError(f"unknown sweep variable {variable!r}")
-
-
-def _sweep_point(scenario: Scenario, mode: tuple,
+def _sweep_point(sc: Scenario, mode: tuple,
                  fixed: Optional[Tuple[float, GridSpec]],
-                 solver_cfg: SolverConfig, variable: str, value: float
+                 solver_cfg: SolverConfig, value: float
                  ) -> Tuple[List[list], Optional[Exception]]:
-    """The value's rows and the exception of a failed fixed-leakage
-    baseline (None otherwise): a failed baseline becomes an error row next
-    to the primary row, while a failed primary solve raises."""
-    sc = _apply_sweep_value(scenario, variable, value)
+    """The rows of the sweep value and its scenario sc, and the exception of
+    a failed fixed-leakage baseline (None otherwise): a failed baseline
+    becomes an error row next to the primary row, while a failed primary
+    solve raises."""
     name, power, th = mode
     rows: List[list] = []
     if name == "joint":
@@ -354,7 +338,7 @@ def _sweep_mode(sweep: dict) -> Tuple[str, Optional[float], Optional[Thresholds]
     """(mode, power, thresholds) of the sweep section: a blocklength sweep
     needs both the power and the thresholds, a throughput sweep needs the
     thresholds and defaults the power to each point's p_cap, and a joint
-    sweep needs neither."""
+    sweep needs neither.  A given power is finite and > 0."""
     mode = sweep.get("mode", "joint")
     if mode == "joint":
         return mode, None, None
@@ -364,6 +348,8 @@ def _sweep_mode(sweep: dict) -> Tuple[str, Optional[float], Optional[Thresholds]
         raise ConfigError("a blocklength sweep needs a 'power'")
     try:
         power = float(sweep["power"]) if sweep.get("power") is not None else None
+        if power is not None and not (power > 0.0 and math.isfinite(power)):
+            raise ValueError(f"power must be finite and > 0, got {power!r}")
         th = sweep["thresholds"]
         return mode, power, Thresholds(delta_max=float(th["delta_max"]),
                                        eps_b_max=float(th["eps_b_max"]))
@@ -372,10 +358,11 @@ def _sweep_mode(sweep: dict) -> Tuple[str, Optional[float], Optional[Thresholds]
 
 
 def cmd_sweep(cfg: dict, threads: int = 1) -> Tuple[List[str], List[list]]:
-    """One row per sweep value and source; per-point infeasibilities become
-    error rows, each reported on stderr in value order, and the sweep
-    continues.  A configured trend is asserted over the primary-source rows
-    before any output is produced."""
+    """One row per sweep value and source.  Every point's scenario is built,
+    and so checked, before any point runs; a failed solve becomes an error
+    row, reported on stderr in value order, and the sweep continues.  A
+    configured trend is asserted over the primary-source rows before any
+    output is produced."""
     scenario = scenario_from_config(cfg)
     solver_cfg = solver_from_config(cfg)
     sweep = _section(cfg, "sweep", {})
@@ -386,26 +373,22 @@ def cmd_sweep(cfg: dict, threads: int = 1) -> Tuple[List[str], List[list]]:
         raise ConfigError(f"bad sweep section: {exc}") from exc
     if not values:
         raise ConfigError("sweep values must be non-empty")
-    _validate_sweep_variable(scenario, variable)
-    # checked before the points run, where a ConfigError becomes an error row
-    if variable in ("d", "n_eves", "m_cap"):
-        for v in sweep["values"]:
-            _int(v, f"a {variable} sweep value")
+    points = [_point_scenario(scenario, variable, v) for v in sweep["values"]]
     mode = _sweep_mode(sweep)
     fixed = _fixed_leakage(sweep)
     trend = _trend(_section(sweep, "trend"))
 
-    def run_one(value: float):
+    def run_one(value: float, sc: Scenario):
         try:
-            return _sweep_point(scenario, mode, fixed, solver_cfg, variable, value)
+            return _sweep_point(sc, mode, fixed, solver_cfg, value)
         except (InfeasibleError, ValueError) as exc:
             return [[value, "error", None, None, None, None]], exc
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_one, values))
+            results = list(pool.map(run_one, values, points))
     else:
-        results = [run_one(v) for v in values]
+        results = list(map(run_one, values, points))
     rows = [row for chunk, _ in results for row in chunk]
     rows.sort(key=lambda r: (r[0], r[1]))
     for value, (_, exc) in sorted(zip(values, results), key=lambda vr: vr[0]):

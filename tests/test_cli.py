@@ -1,8 +1,11 @@
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,7 +189,7 @@ def test_n_eves_sweep_runs_the_baseline_on_every_set(tmp_path, capsys):
         (n, src) for n in ("1", "2", "3") for src in ("fixed_leakage", "joint")]
     base = scenario_from_config(cfg)
     for r in rows[::2]:
-        links = linkset_for(base.with_updates(eves=base.eves * int(r[0])))
+        links = linkset_for(replace(base, eves=base.eves * int(r[0])))
         m, p = float(r[2]), float(r[3])
         eps_b, eps_e = links.eps_pair(m, p)
         assert 1.0 - eps_e <= 1e-3
@@ -211,7 +214,7 @@ def test_n_eves_sweep_in_window_modes(tmp_path, capsys, mode):
     base = scenario_from_config(cfg)
     search = solve_blocklength if mode == "blocklength" else maximize_throughput
     for r in rows:
-        sc = base.with_updates(eves=base.eves * int(r[0]))
+        sc = replace(base, eves=base.eves * int(r[0]))
         m_star, _ = search(sc, 0.1, Thresholds(**th))
         assert (int(r[2]), float(r[3])) == (m_star, 0.1)
 
@@ -276,6 +279,13 @@ def _joint_sweep(**extra):
                           **extra)}
 
 
+def _window_sweep(mode, **extra):
+    """A one-value blocklength or throughput sweep section with extra keys."""
+    return {"sweep": dict({"variable": "z_b", "values": [2.0], "mode": mode,
+                           "thresholds": {"delta_max": 0.1, "eps_b_max": 0.1}},
+                          **extra)}
+
+
 def _not_run(*args, **kwargs):
     raise AssertionError("work ran although the config is malformed")
 
@@ -329,6 +339,17 @@ def _not_run(*args, **kwargs):
                          "mode": "joint"}}),
     ("sweep", _joint_sweep(baseline={"fixed_leakage": {"p_points": 300.5}})),
     ("sweep", _joint_sweep(baseline={"fixed_leakage": {"refine_rounds": 1.5}})),
+    # sweep values the point's scenario rejects
+    ("sweep", _joint_sweep(variable="n_eves", values=[0, 1])),
+    ("sweep", _joint_sweep(variable="d", values=[0, 320])),
+    ("sweep", _joint_sweep(variable="m_cap", values=[0, 3000])),
+    ("sweep", _joint_sweep(variable="p_cap", values=[0.0, 10.0])),
+    ("sweep", _joint_sweep(variable="z_b", values=[-1.0, 1.5])),
+    ("sweep", _joint_sweep(variable="z_e", values=[math.nan])),
+    # a sweep power that is not finite and > 0
+    ("sweep", _window_sweep("blocklength", power=-0.1)),
+    ("sweep", _window_sweep("blocklength", power=0)),
+    ("sweep", _window_sweep("throughput", power=-1)),
 ])
 def test_malformed_section_exits_2(tmp_path, capsys, monkeypatch, command, section):
     """A malformed config exits 2 with an error line before any solve,
@@ -369,6 +390,13 @@ def test_malformed_json_exits_2(tmp_path):
     assert main(["solve", "--config", str(path)]) == 2
 
 
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"scenario": "\xff"}')
+    assert main(["solve", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read config ")
+
+
 def test_byte_determinism_across_runs(tmp_path):
     cfg = base_config(sweep={
         "variable": "d",
@@ -404,9 +432,13 @@ def test_console_entry_point_runs(tmp_path):
     cfg = base_config(eval={"m_points": 2, "p_points": 2,
                             "m_range": [100, 200], "p_range": [0.1, 1.0]})
     cfg_path = write_config(tmp_path, cfg)
+    # the package as imported here, whether installed or not
+    src = str(Path(experiments.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "fblsec.cli", "eval", "--config", cfg_path],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("m,p,eps_b,eps_e,eps_lf,flag_insecure")

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -195,8 +196,9 @@ WINDOW_SETS = [
                  id="passive-8"),
     pytest.param(make_scenario(z_b=3.0, eve_gains=(0.79, 0.91), eve_model=EveModel.SUPER),
                  id="colluding-pair"),
-    pytest.param(make_scenario(z_b=3.0, eve_model=EveModel.SUPER).with_updates(
-        eves=(ChannelSpec(1.0, 0.1), ChannelSpec(0.5, 0.2))), id="colluders-noise"),
+    pytest.param(replace(make_scenario(z_b=3.0, eve_model=EveModel.SUPER),
+                         eves=(ChannelSpec(1.0, 0.1), ChannelSpec(0.5, 0.2))),
+                 id="colluders-noise"),
 ]
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -69,9 +70,9 @@ def test_super_links_sum_snrs(eves):
     powers; the passive model keeps every link."""
     sc = make_scenario(eve_gains=[1.0, 2.0])
     assert [e.gain for e in linkset_for(sc).channels[1:]] == [1.0, 2.0]
-    colluding = sc.with_updates(eve_model=EveModel.SUPER)
+    colluding = replace(sc, eve_model=EveModel.SUPER)
     assert [e.gain for e in linkset_for(colluding).channels[1:]] == [3.0]
-    links = linkset_for(colluding.with_updates(eves=eves))
+    links = linkset_for(replace(colluding, eves=eves))
     (eve,) = links.channels[1:]
     assert eve.noise_power == eves[0].noise_power
     assert links.k[1] == pytest.approx(sum(e.gain / e.noise_power for e in eves),
@@ -174,8 +175,8 @@ def test_passive_dominated_by_strongest_eve(rng):
 def test_solve_multi_single_eve_passive_equals_super(default_scenario):
     """With one eavesdropper the two collusion models are the same link set,
     so their solves agree exactly, trace included."""
-    res_p = solve_multi(default_scenario.with_updates(eve_model=EveModel.PASSIVE))
-    res_s = solve_multi(default_scenario.with_updates(eve_model=EveModel.SUPER))
+    res_p = solve_multi(replace(default_scenario, eve_model=EveModel.PASSIVE))
+    res_s = solve_multi(replace(default_scenario, eve_model=EveModel.SUPER))
     assert res_p == res_s
 
 
