@@ -14,6 +14,7 @@ the test suite checks the search results against dense scans of the interval.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple, Union
@@ -143,12 +144,12 @@ def _window(links: LinkSet, p: float, th: Thresholds,
             ) -> Optional[Tuple[int, int]]:
     """Integer blocklengths meeting both thresholds at fixed power, or None.
     eps_e(m) is the eavesdropper's error at blocklength m, by default the
-    link set's own.
+    link set's own.  ValueError unless p lies in (0, p_cap].
 
     Reliability cuts from below (error falls with m), leakage cuts from above
     (leakage rises with m)."""
-    if not p > 0.0:
-        raise ValueError("power must be positive")
+    if not 0.0 < p <= links.p_cap:
+        raise ValueError(f"power must lie in (0, p_cap = {links.p_cap:g}], got {p!r}")
     eps_e = eps_e or (lambda m: links.eps_pair(m, p)[1])
     m_lo = _first_true(lambda m: links.errors(float(m), p)[0] <= th.eps_b_max,
                        1, links.m_cap)
@@ -274,6 +275,17 @@ def _decode_transition(scenario: Scenario, res: Resources) -> Tuple[float, float
     return gamma_star / k, 8.0 * math.sqrt(gamma_star * (gamma_star + 2.0) / res.m) / k
 
 
+@functools.lru_cache(maxsize=16)
+def _leggauss(nodes: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The Gauss-Legendre nodes and weights on [-1, 1] for this node count,
+    built once (an eigenvalue solve) and returned read-only, since every
+    caller shares them."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def expected_eps_e(scenario: Scenario, res: Resources, fading: FadingSpec) -> float:
     """Expectation of the eavesdropper's decoding error over the gain fading.
 
@@ -306,7 +318,8 @@ def expected_eps_e(scenario: Scenario, res: Resources, fading: FadingSpec) -> fl
                     cuts.append(c)
         cuts.append(z_hi)
         cuts = sorted(set(cuts))
-        x, w = np.polynomial.legendre.leggauss(est.nodes)
+        # int: an np.integer node count would key a second cache entry
+        x, w = _leggauss(int(est.nodes))
         total = 0.0
         for a, b in zip(cuts[:-1], cuts[1:]):
             z = 0.5 * (b - a) * x + 0.5 * (a + b)

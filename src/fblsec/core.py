@@ -139,16 +139,24 @@ def snr(ch: ChannelSpec, p: float):
     return p * ch.gain / ch.noise_power
 
 
+def _is_scalar(x) -> bool:
+    """True for a float (np.float64 included) without asking numpy, whose
+    np.ndim builds a 0-d array first; otherwise whether x has no axes."""
+    return isinstance(x, float) or not np.ndim(x)
+
+
 def capacity(gamma):
     """Shannon capacity log2(1 + gamma) in bits per channel use."""
-    return np.log2(1.0 + np.asarray(gamma, dtype=float)) if np.ndim(gamma) else math.log2(1.0 + gamma)
+    if _is_scalar(gamma):
+        return math.log2(1.0 + gamma)
+    return np.log2(1.0 + np.asarray(gamma, dtype=float))
 
 
 def dispersion(gamma):
     """Channel dispersion 1 - (1 + gamma)^-2; lies in [0, 1)."""
-    g = np.asarray(gamma, dtype=float)
-    out = 1.0 - (1.0 + g) ** -2
-    return out if np.ndim(gamma) else float(out)
+    if _is_scalar(gamma):
+        return 1.0 - (1.0 + float(gamma)) ** -2
+    return 1.0 - (1.0 + np.asarray(gamma, dtype=float)) ** -2
 
 
 def q(x):

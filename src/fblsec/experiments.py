@@ -359,15 +359,17 @@ def _sweep_mode(sweep: dict) -> Tuple[str, Optional[float], Optional[Thresholds]
 
 def cmd_sweep(cfg: dict, threads: int = 1) -> Tuple[List[str], List[list]]:
     """One row per sweep value and source.  Every point's scenario is built,
-    and so checked, before any point runs; a failed solve becomes an error
-    row, reported on stderr in value order, and the sweep continues.  A
-    configured trend is asserted over the primary-source rows before any
-    output is produced."""
+    and so checked, before any point runs, as is a given power against each
+    point's p_cap; a failed solve becomes an error row, reported on stderr
+    in value order, and the sweep continues.  A configured trend is
+    asserted over the primary-source rows before any output is produced."""
     scenario = scenario_from_config(cfg)
     solver_cfg = solver_from_config(cfg)
     sweep = _section(cfg, "sweep", {})
     try:
         variable = sweep["variable"]
+        if not isinstance(sweep["values"], list):
+            raise TypeError(f"values must be a JSON array, got {sweep['values']!r}")
         values = [float(v) for v in sweep["values"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad sweep section: {exc}") from exc
@@ -375,6 +377,12 @@ def cmd_sweep(cfg: dict, threads: int = 1) -> Tuple[List[str], List[list]]:
         raise ConfigError("sweep values must be non-empty")
     points = [_point_scenario(scenario, variable, v) for v in sweep["values"]]
     mode = _sweep_mode(sweep)
+    power = mode[1]
+    for value, sc in zip(values, points):
+        if power is not None and power > sc.p_cap:
+            raise ConfigError(f"the sweep power {power:g} exceeds the p_cap "
+                              f"{sc.p_cap:g} of the {variable} sweep value "
+                              f"{format_cell(value)}")
     fixed = _fixed_leakage(sweep)
     trend = _trend(_section(sweep, "trend"))
 

@@ -350,6 +350,14 @@ def _not_run(*args, **kwargs):
     ("sweep", _window_sweep("blocklength", power=-0.1)),
     ("sweep", _window_sweep("blocklength", power=0)),
     ("sweep", _window_sweep("throughput", power=-1)),
+    # a sweep power above a point's p_cap
+    ("sweep", _window_sweep("blocklength", power=50)),
+    ("sweep", _window_sweep("throughput", power=5, variable="p_cap",
+                            values=[10.0, 2.0])),
+    # sweep values that are not a JSON array: a string would sweep its
+    # characters and an object its keys
+    ("sweep", _joint_sweep(values="34")),
+    ("sweep", _joint_sweep(values={"3": 0, "4": 1})),
 ])
 def test_malformed_section_exits_2(tmp_path, capsys, monkeypatch, command, section):
     """A malformed config exits 2 with an error line before any solve,

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fblsec import constrained
 from fblsec.constrained import (
     ExponentialGain,
     FadingSpec,
@@ -516,3 +517,44 @@ def test_statistical_estimator_choice_stable():
     m_mc, v_mc = solve_blocklength_statistical(sc, STAT_P, STAT_TH, fad_mc)
     assert abs(m_q - m_mc) <= 1
     assert abs(v_q - v_mc) <= 1e-3
+
+
+@pytest.mark.parametrize("nodes", [2, 16, 64, 200])
+@pytest.mark.parametrize("dist", [ExponentialGain(), PointMassGain()])
+def test_cached_rule_equals_a_fresh_build(monkeypatch, nodes, dist):
+    """expected_eps_e on the cached Gauss-Legendre rule gives the same bits
+    as on a rule built afresh at every call."""
+    sc = make_scenario(**STAT_SCENARIO)
+    fading = FadingSpec(dist, GaussQuadrature(nodes))
+    points = [Resources(m, p) for m in (1.0, 30.0, 66.0, 400.0, 3000.0)
+              for p in (1e-3, STAT_P, 10.0)]
+    cached = [expected_eps_e(sc, res, fading) for res in points]
+    monkeypatch.setattr(constrained, "_leggauss", np.polynomial.legendre.leggauss)
+    assert [expected_eps_e(sc, res, fading) for res in points] == cached
+
+
+def test_cached_rule_is_shared_and_read_only():
+    x, w = constrained._leggauss(16)
+    x_again, w_again = constrained._leggauss(16)
+    assert x_again is x and w_again is w
+    fresh_x, fresh_w = np.polynomial.legendre.leggauss(16)
+    assert x.tolist() == fresh_x.tolist() and w.tolist() == fresh_w.tolist()
+    for a in (x, w):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+@pytest.mark.parametrize("search", [
+    lambda sc, p, th: feasible_m_interval(sc, p, th),
+    lambda sc, p, th: solve_blocklength(sc, p, th),
+    lambda sc, p, th: maximize_throughput(sc, p, th),
+    lambda sc, p, th: solve_blocklength_statistical(
+        sc, p, th, FadingSpec(ExponentialGain(), GaussQuadrature(16))),
+])
+@pytest.mark.parametrize("p", [0.0, -1.0, math.nan, 10.5, math.inf])
+def test_window_searches_reject_power_outside_the_budget(search, p):
+    """Every fixed-power search runs inside (0, p_cap]."""
+    sc = make_scenario(z_b=6.0, mean_gain=1.0, p_cap=10.0)
+    with pytest.raises(ValueError, match="power"):
+        search(sc, p, Thresholds(1e-3, 1e-3))
+    search(sc, 10.0, Thresholds(0.3, 0.3))

@@ -27,7 +27,7 @@ from fblsec.errors import DegenerateChannelError
 from fblsec.multi_eve import scenario_lfp
 from fblsec.solver import LinkSet
 
-from conftest import make_scenario
+from conftest import feasible_threshold_cases, make_scenario
 
 # Frozen values computed with a 50-digit complementary-error-function oracle.
 Q_AT_5_5556 = 1.3832988504416734706e-8
@@ -57,6 +57,41 @@ def test_dispersion_values():
     g = np.linspace(0.01, 50, 100)
     v = dispersion(g)
     assert np.all((v >= 0) & (v < 1))
+
+
+def _dispersion_0d(g):
+    """Reference dispersion of a scalar, computed on a 0-d array."""
+    return float(1.0 - (1.0 + np.asarray(g, dtype=float)) ** -2)
+
+
+def test_scalar_capacity_and_dispersion_match_the_array_forms(rng):
+    """The scalar paths give the bits of the 0-d-array reference and
+    math.log2, a float for any scalar and an array for arrays."""
+    gains = np.concatenate([rng.exponential(1.0, 2000),
+                            10.0 ** rng.uniform(-12.0, 6.0, 2000), [0.0]])
+    for g in gains.tolist():
+        assert dispersion(g) == _dispersion_0d(g)
+        assert capacity(g) == math.log2(1.0 + g)
+    for g in (3, np.float64(3.0), np.int64(3), np.array(3.0)):
+        assert type(capacity(g)) is float and capacity(g) == 2.0
+        assert type(dispersion(g)) is float and dispersion(g) == _dispersion_0d(g)
+    for g in (np.array([3.0]), [3.0, 1.0]):
+        assert isinstance(capacity(g), np.ndarray)
+        assert isinstance(dispersion(g), np.ndarray)
+
+
+def test_rates_unchanged_on_feasible_cases():
+    """max_rate and secrecy_rate equal, to the bit, their formulas written
+    with the 0-d-array reference dispersion, at the window ends of the
+    feasible threshold cases."""
+    for sc, p, th, (m_lo, m_hi) in feasible_threshold_cases(40):
+        gb, ge = snr(sc.bob, p), snr(sc.eves[0], p)
+        for m in (m_lo, m_hi):
+            pen_b = math.sqrt(_dispersion_0d(gb) / m) * q_inv(th.eps_b_max) / core.LN2
+            pen_e = math.sqrt(_dispersion_0d(ge) / m) * q_inv(th.delta_max) / core.LN2
+            assert max_rate(gb, m, th.eps_b_max) == math.log2(1.0 + gb) - pen_b
+            assert secrecy_rate(gb, ge, m, th.eps_b_max, th.delta_max) == (
+                (math.log2(1.0 + gb) - math.log2(1.0 + ge)) - pen_b - pen_e)
 
 
 def test_q_basics():
